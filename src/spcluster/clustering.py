@@ -111,57 +111,66 @@ def select_representatives(chart: SPChart, m: int, rng: np.random.Generator) -> 
     return tuple(int(i) for i in rng.choice(chart.num_students, size=m, replace=False))
 
 
-def _cluster_gamma(bits: np.ndarray) -> float:
-    mu = bits.mean(axis=0)
-    return float(np.abs(bits - mu).mean())
+def _clusters(
+    chart: SPChart, members: np.ndarray, sizes: np.ndarray, fixed_points
+) -> tuple[Cluster, ...]:
+    """Consecutive runs of ``members`` with the given non-zero sizes, as
+    clusters scored from their column counts."""
+    starts = np.cumsum(sizes) - sizes
+    counts = np.add.reduceat(chart.bits[members], starts, axis=0, dtype=np.int64)
+    gammas = spchart.caution_from_counts(counts, sizes)
+    return tuple(
+        Cluster(member_indices=tuple(part.tolist()), fixed_point=point, gamma=gamma)
+        for part, point, gamma in zip(np.split(members, starts[1:]), fixed_points, gammas)
+    )
 
 
-def _group_by_fixed_point(chart: SPChart, terminal: np.ndarray) -> tuple[Cluster, ...]:
-    # clusters appear in order of first discovery over student index
-    groups: dict[bytes, list[int]] = {}
-    keys: dict[bytes, tuple[int, ...]] = {}
-    for i, row in enumerate(terminal):
-        k = row.tobytes()
-        groups.setdefault(k, []).append(i)
-        if k not in keys:
-            keys[k] = tuple(int(v) for v in hopfield.binary_from_bipolar(row))
-    clusters = []
-    for k, members in groups.items():
-        sub = chart.bits[members]
-        clusters.append(
-            Cluster(
-                member_indices=tuple(members),
-                fixed_point=keys[k],
-                gamma=_cluster_gamma(sub),
-            )
-        )
-    return tuple(clusters)
+def _group_by_attractor(chart: SPChart, terminal: np.ndarray) -> tuple[Cluster, ...]:
+    """Clusters of the students that share a terminal state.
+
+    Clusters appear in order of first discovery over student index and
+    list their members in ascending order.
+    """
+    first, inverse = hopfield.distinct_rows(terminal)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    labels = rank[inverse]
+    fixed_points = hopfield.binary_from_bipolar(terminal[first[order]]).tolist()
+    return _clusters(
+        chart,
+        np.argsort(labels, kind="stable"),
+        np.bincount(labels),
+        [tuple(point) for point in fixed_points],
+    )
 
 
 def _cluster_with_sweeps(
-    chart: SPChart, rep_indices, max_sweeps: int = hopfield.DEFAULT_MAX_SWEEPS
+    chart: SPChart, rep_indices, states: np.ndarray | None = None
 ) -> tuple[Clustering, np.ndarray]:
     reps = tuple(int(i) for i in rep_indices)
     for i in reps:
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
     w = hopfield.hebbian_learn(chart.bits[list(reps)])
-    states = hopfield.bipolar_from_binary(chart.bits)
-    terminal, sweeps, converged = hopfield.converge_many(states, w, max_sweeps)
+    if states is None:
+        states = hopfield.bipolar_from_binary(chart.bits)
+    terminal, sweeps, converged = hopfield.converge_many(states, w)
     if not converged.all():
         raise ConvergenceFailure(int(np.flatnonzero(~converged)[0]))
-    clusters = _group_by_fixed_point(chart, terminal)
+    clusters = _group_by_attractor(chart, terminal)
     return Clustering(clusters, chart, reps), sweeps
 
 
-def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
+def rnn_cluster(chart: SPChart, rep_indices, *, states: np.ndarray | None = None) -> Clustering:
     """Cluster students by the fixed point their row relaxes to.
 
     Deterministic given the chart and representative indices; the number
     of clusters never exceeds the number of fixed points of the learned
-    network.
+    network.  ``states`` is ``chart.bits`` in bipolar form; a caller that
+    clusters one chart many times passes it to convert the chart once.
     """
-    clustering, _ = _cluster_with_sweeps(chart, rep_indices)
+    clustering, _ = _cluster_with_sweeps(chart, rep_indices, states)
     return clustering
 
 
@@ -173,10 +182,11 @@ def f1(clustering: Clustering, m: int) -> float:
     """
     if m < 1:
         raise ClusteringError("m must be at least 1")
-    desired = clustering.chart.num_students / m
+    L = clustering.chart.num_students
     sizes = sorted(clustering.sizes(), reverse=True)
     mth = sizes[m - 1] if len(sizes) >= m else 0
-    return (desired - mth) / desired
+    # (L/m - mth) / (L/m) with one correctly rounded division
+    return (L - m * mth) / L
 
 
 def f2(clustering: Clustering) -> float:
@@ -200,42 +210,33 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
         raise MTooLarge(m, L)
     order = np.argsort(-chart.bits.sum(axis=1), kind="stable")
     base, extra = divmod(L, m)
-    clusters = []
-    at = 0
-    for g in range(m):
-        size = base + (1 if g < extra else 0)
-        members = tuple(int(i) for i in order[at : at + size])
-        at += size
-        clusters.append(
-            Cluster(
-                member_indices=members,
-                fixed_point=None,
-                gamma=_cluster_gamma(chart.bits[list(members)]),
-            )
-        )
-    return Clustering(tuple(clusters), chart, ())
+    sizes = base + (np.arange(m) < extra)
+    return Clustering(_clusters(chart, order, sizes, [None] * m), chart, ())
 
 
-def _run_one_trial(chart: SPChart, m: int, master_seed: int, t: int) -> TrialSummary:
+def _run_one_trial(
+    chart: SPChart, states: np.ndarray, m: int, master_seed: int, t: int
+) -> TrialSummary:
     seed = trial_seed(master_seed, t)
+    rng = np.random.default_rng(seed)
+    reps = select_representatives(chart, m, rng)
     try:
-        rng = np.random.default_rng(seed)
-        reps = select_representatives(chart, m, rng)
-        clustering = rnn_cluster(chart, reps)
-        return TrialSummary(
-            trial_index=t,
-            seed=seed,
-            f1=f1(clustering, m),
-            f2=f2(clustering),
-            n_clusters=len(clustering.clusters),
-        )
-    except Exception as exc:  # recorded, never aborts the whole run
+        clustering = rnn_cluster(chart, reps, states=states)
+    except ConvergenceFailure as exc:  # recorded, never aborts the whole run
         return TrialSummary(trial_index=t, seed=seed, f1=1.0, f2=1.0, n_clusters=0, error=str(exc))
+    return TrialSummary(
+        trial_index=t,
+        seed=seed,
+        f1=f1(clustering, m),
+        f2=f2(clustering),
+        n_clusters=len(clustering.clusters),
+    )
 
 
 def _trial_chunk(args) -> list[TrialSummary]:
     chart, m, master_seed, lo, hi = args
-    return [_run_one_trial(chart, m, master_seed, t) for t in range(lo, hi)]
+    states = hopfield.bipolar_from_binary(chart.bits)
+    return [_run_one_trial(chart, states, m, master_seed, t) for t in range(lo, hi)]
 
 
 def workers_from_env() -> int:

@@ -7,8 +7,9 @@ zero-diagonal connection matrix every trajectory reaches a fixed point;
 ``converge`` checks that condition eagerly so nonconvergence can never
 pass silently.
 
-All weight and field arithmetic is integer when the inputs are integer,
-so results are bit-reproducible.
+The scalar ``sweep``/``converge`` use integer arithmetic and are the
+reference for the batch kernel ``converge_many``, whose float fields are
+exact integers (or the call is refused), so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -159,46 +160,96 @@ def converge(state0, w: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> Con
     return ConvergenceResult(x, max_sweeps, False)
 
 
+def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a +-1 matrix by an exact key.
+
+    Returns ``first``, the index of the first occurrence of each distinct
+    row (in key order, not row order), and ``inverse``, which maps every
+    row to its position in ``first``.  Rows of up to 62 components are
+    keyed by their sign bits packed into one int64; wider rows are
+    compared whole.
+    """
+    x = np.asarray(states)
+    n = x.shape[1]
+    if n <= 62:
+        keys = (x > 0).astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _field_dtype(w: np.ndarray) -> type:
+    """The narrowest float type in which every field of w is exact.
+
+    A field is a sum of +-w_jk, so it and every partial sum are integers
+    of magnitude at most the largest row sum of |w|.  float32 holds such
+    integers exactly below 2^24 and float64 below 2^53.
+    """
+    if w.dtype.kind not in "biu" and not np.array_equal(w, np.trunc(w)):
+        raise NetworkError("connection matrix entries must be integers")
+    # converted to float before abs so that the int64 minimum cannot wrap;
+    # the float sum only rounds once it has already reached 2^53
+    bound = np.abs(w.astype(np.float64)).sum(axis=1).max(initial=0.0)
+    if bound < 2.0**24:
+        return np.float32
+    if bound < 2.0**53:
+        return np.float64
+    raise NetworkError(f"fields up to {bound:.3g} are not exact in float64")
+
+
 def converge_many(
     states, w: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch variant of ``converge`` over rows of a B x N state matrix.
 
     Row trajectories are independent, so this is exactly ``converge``
-    applied per row, vectorized across the batch.  Returns the terminal
-    states, per-row sweep counts, and per-row convergence flags.
+    applied per row.  Equal rows share a trajectory, so only the distinct
+    rows are relaxed and their results are copied to every duplicate.
+    Fields are float BLAS products, exact because ``_field_dtype`` picks a
+    float type that holds every partial sum.  Returns the terminal states,
+    per-row sweep counts, and per-row convergence flags.  Raises
+    ``NetworkError`` for entries other than -1/+1, for non-integer
+    weights, and for weights whose fields could reach 2^53.
     """
     if max_sweeps < 1:
         raise NetworkError("max_sweeps must be at least 1")
     w = check_weights(w)
-    x = np.asarray(states).astype(np.int64)
+    x = np.asarray(states)
     if x.ndim != 2:
         raise NetworkError("states must form a B x N matrix")
     n = x.shape[1]
     if w.shape[0] != n:
         raise LengthMismatch(f"states have {n} components but matrix is {w.shape[0]} wide")
+    if not ((x == 1) | (x == -1)).all():
+        raise NetworkError("state entries must all be -1 or +1")
+    dtype = _field_dtype(w)
 
-    sweeps = np.zeros(x.shape[0], dtype=np.int64)
-    converged = np.zeros(x.shape[0], dtype=bool)
-    active = np.arange(x.shape[0])
+    first, inverse = distinct_rows(x)
+    wf = w.astype(dtype)
+    xd = x[first].astype(dtype)
+    sweeps = np.zeros(first.size, dtype=np.int64)
+    converged = np.zeros(first.size, dtype=bool)
+    active = np.arange(first.size)
     for _ in range(max_sweeps):
         if active.size == 0:
             break
-        xa = x[active]
-        changed = np.zeros(active.size, dtype=bool)
+        # column-major, so that each unit's column is contiguous
+        xa = np.asfortranarray(xd[active])
+        before = xa.copy(order="F")
         for j in range(n):
-            field = xa @ w[j]
-            new = np.where(field >= 0, 1, -1)
-            changed |= new != xa[:, j]
-            xa[:, j] = new
-        x[active] = xa
+            # a field f is an integer, so f + 1/2 is never 0 and its sign
+            # is sgn(f) with sgn(0) = +1
+            np.sign(xa @ wf[j] + 0.5, out=xa[:, j])
+        changed = (xa != before).any(axis=1)
+        xd[active] = xa
         sweeps[active] += 1
         converged[active[~changed]] = True
         active = active[changed]
 
-    out = x.astype(np.int8)
+    out = xd.astype(np.int8)[inverse]
     out.flags.writeable = False
-    return out, sweeps, converged
+    return out, sweeps[inverse], converged[inverse]
 
 
 def energy(state, w: np.ndarray) -> float:

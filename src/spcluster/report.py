@@ -14,7 +14,7 @@ from . import spchart
 from .clustering import Clustering, TrialReport, TrialSummary
 from .spchart import SPChart
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def input_digest(data: bytes) -> str:

@@ -325,7 +325,25 @@ def caution_index(row, rates) -> float:
     return float(np.abs(bits - mu).mean())
 
 
+def caution_from_counts(counts, sizes) -> list[float]:
+    """Average caution index of groups of rows, from integer column counts.
+
+    ``counts[k, j]`` is how many of group k's ``sizes[k]`` rows have a 1
+    in column j.  In a column with c ones among n rows, c rows deviate
+    from the rate c/n by (n - c)/n and n - c rows by c/n, so a group's
+    mean absolute deviation over its N columns is
+    2 * sum_j c_j (n - c_j) / (n^2 N).  Numerator and denominator are
+    exact integers and the one division is correctly rounded, so equal
+    ratios give identical floats.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    n = np.asarray(sizes, dtype=np.int64)
+    num = 2 * (c * (n[:, None] - c)).sum(axis=1)
+    den = n * n * c.shape[1]
+    return [a / b for a, b in zip(num.tolist(), den.tolist())]
+
+
 def average_caution(chart: SPChart) -> float:
     """Mean caution index over all rows, against the chart's own rates."""
-    mu = correct_rates(chart)
-    return float(np.abs(chart.bits - mu).mean())
+    counts = chart.bits.sum(axis=0, dtype=np.int64)
+    return caution_from_counts(counts[None, :], [chart.num_students])[0]

@@ -89,7 +89,7 @@ class TestCluster:
         assert out1.read_bytes() == out2.read_bytes()
 
         doc = json.loads(out1.read_text())
-        assert doc["format_version"] == "1"
+        assert doc["format_version"] == "2"
         assert doc["input_digest"].startswith("sha256:")
         assert doc["parameters"]["clusters"] == 4
         assert len(doc["trials"]) == 60

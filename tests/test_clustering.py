@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spcluster import clustering, hopfield, spchart
+from spcluster import clustering, datagen, hopfield, spchart
 from spcluster.clustering import (
     AllTrialsFailed,
     Cluster,
@@ -16,6 +18,7 @@ from spcluster.clustering import (
     select_representatives,
     trial_seed,
 )
+from spcluster.datagen import GenSpec
 from spcluster.reference import REFERENCE_FIXED_POINTS, REFERENCE_PATTERNS
 
 
@@ -57,6 +60,30 @@ def partition_by_basin(chart, rep_indices):
         key = mapping[tuple(hopfield.bipolar_from_binary(row).tolist())]
         groups.setdefault(key, []).append(i)
     return {frozenset(v) for v in groups.values()}
+
+
+def reference_clusters(chart, rep_indices):
+    """Oracle: group rows by their terminal state's bytes in a dict, in
+    order of first discovery, with gamma as a float mean deviation."""
+    w = hopfield.hebbian_learn(chart.bits[list(rep_indices)])
+    terminal, _, _ = hopfield.converge_many(hopfield.bipolar_from_binary(chart.bits), w)
+    groups = {}
+    for i, row in enumerate(terminal):
+        groups.setdefault(row.tobytes(), []).append(i)
+    out = []
+    for members in groups.values():
+        bits = chart.bits[members].astype(float)
+        point = tuple(hopfield.binary_from_bipolar(terminal[members[0]]).tolist())
+        out.append((tuple(members), point, float(np.abs(bits - bits.mean(axis=0)).mean())))
+    return out
+
+
+def scored_partition(bits, labels):
+    """Clusters the production grouping path builds for a given labelling."""
+    chart = chart_of(bits)
+    k = int(labels.max()) + 1
+    terminal = np.where(labels[:, None] == np.arange(k), 1, -1).astype(np.int8)
+    return Clustering(clustering._group_by_attractor(chart, terminal), chart, ())
 
 
 class TestSelectRepresentatives:
@@ -149,6 +176,20 @@ class TestRnnCluster:
         with pytest.raises(clustering.ClusteringError):
             rnn_cluster(chart, [5])
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(list(spchart.ChartType)), st.integers(1, 60), st.integers(1, 12),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_matches_dict_grouping_reference(self, chart_type, students, problems, m, seed):
+        chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
+        reps = select_representatives(chart, min(m, students), np.random.default_rng(seed))
+        result = rnn_cluster(chart, reps)
+        expected = reference_clusters(chart, reps)
+        assert [c.member_indices for c in result.clusters] == [e[0] for e in expected]
+        assert [c.fixed_point for c in result.clusters] == [e[1] for e in expected]
+        for cluster, (_, _, gamma) in zip(result.clusters, expected):
+            assert cluster.gamma == pytest.approx(gamma, rel=0, abs=1e-12)
+        assert f2(result) == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
+
 
 class TestCostFunctions:
     def test_f1_table_regression(self):
@@ -184,6 +225,41 @@ class TestCostFunctions:
         chart = chart_of([[1]])
         with pytest.raises(EmptyClustering):
             f2(Clustering((), chart, ()))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equal_column_counts_give_identical_f2(self, seed):
+        rng = np.random.default_rng(seed)
+        L, N = int(rng.integers(2, 40)), int(rng.integers(1, 10))
+        k = int(rng.integers(1, min(L, 5) + 1))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=L - k)])
+        bits = rng.integers(0, 2, size=(L, N))
+        # shuffling each column within each cluster keeps the cluster's
+        # column counts but changes which rows it holds
+        other = bits.copy()
+        for c in range(k):
+            idx = np.flatnonzero(labels == c)
+            for j in range(N):
+                other[idx, j] = bits[rng.permutation(idx), j]
+        order = rng.permutation(L)
+        a = scored_partition(bits, labels)
+        b = scored_partition(other[order], labels[order])
+        assert sorted(c.gamma for c in a.clusters) == sorted(c.gamma for c in b.clusters)
+        assert f2(a) == f2(b)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, 0]],
+            # a float mean over rates of 1/6 and 1/3 gives 0.25000000000000006
+            [[1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 0, 0], [1, 0, 0, 1], [1, 1, 1, 0], [1, 0, 0, 0]],
+        ],
+    )
+    def test_a_quarter_is_exactly_a_quarter(self, rows):
+        bits = np.array(rows)
+        result = scored_partition(bits, np.zeros(len(rows), dtype=int))
+        assert result.clusters[0].gamma == 0.25
+        assert spchart.average_caution(chart_of(bits)) == 0.25
 
 
 class TestScoreBaseline:
@@ -281,6 +357,23 @@ class TestRunTrials:
             run_trials(chart, 5, 1, master_seed=0)
         with pytest.raises(clustering.ClusteringError):
             run_trials(chart, 2, 1, master_seed=0, objective="f3")
+
+    def test_kernel_errors_abort_the_run(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("kernel bug")
+
+        monkeypatch.setattr(hopfield, "converge_many", broken)
+        with pytest.raises(TypeError, match="kernel bug"):
+            run_trials(chart_of(np.eye(4, dtype=np.int8)), 2, 3, master_seed=0)
+
+    def test_exhausted_sweep_budgets_are_recorded_as_failed_trials(self, monkeypatch):
+        def never_settles(states, w, max_sweeps=hopfield.DEFAULT_MAX_SWEEPS):
+            rows = np.asarray(states).shape[0]
+            return np.asarray(states), np.full(rows, max_sweeps), np.zeros(rows, dtype=bool)
+
+        monkeypatch.setattr(hopfield, "converge_many", never_settles)
+        with pytest.raises(AllTrialsFailed, match="sweep budget"):
+            run_trials(chart_of(np.eye(4, dtype=np.int8)), 2, 3, master_seed=0)
 
     def test_trial_seed_is_stable(self):
         assert trial_seed(42, 0) == trial_seed(42, 0)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcluster import hopfield
 from spcluster.hopfield import (
@@ -210,6 +212,68 @@ class TestConverge:
             res = converge(starts[k], w)
             assert np.array_equal(res.fixed_point, terminal[k])
             assert res.sweeps_used == sweeps[k]
+
+
+def repeated_rows(rng, n):
+    """A batch drawn from a few distinct +-1 rows, so most rows repeat."""
+    pool = rng.choice([-1, 1], size=(int(rng.integers(1, 6)), n))
+    return pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 16)))]
+
+
+def assert_matches_scalar(starts, w, max_sweeps=hopfield.DEFAULT_MAX_SWEEPS):
+    terminal, sweeps, converged = converge_many(starts, w, max_sweeps)
+    for k, start in enumerate(starts):
+        res = converge(start, w, max_sweeps)
+        assert np.array_equal(terminal[k], res.fixed_point)
+        assert sweeps[k] == res.sweeps_used
+        assert converged[k] == res.converged
+
+
+BUDGETS = st.sampled_from([1, 2, 3, hopfield.DEFAULT_MAX_SWEEPS])
+
+
+class TestConvergeManyAgainstScalar:
+    """The batch kernel dedupes rows and uses float fields; the scalar
+    ``converge`` is the reference for every row."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 70), BUDGETS, st.integers(0, 2**32 - 1))
+    def test_hebbian_networks(self, m, n, budget, seed):
+        rng = np.random.default_rng(seed)
+        w = hebbian_learn(rng.integers(0, 2, size=(m, n)))
+        assert_matches_scalar(repeated_rows(rng, n), w, budget)
+
+    # the scales put the largest field below 2^24, across it, and far
+    # above it, so both float widths are exercised
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 70), st.sampled_from([3, 2**19, 2**40]), BUDGETS,
+           st.integers(0, 2**32 - 1))
+    def test_symmetric_integer_networks(self, n, scale, budget, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(-scale, scale + 1, size=(n, n)), 1)
+        assert_matches_scalar(repeated_rows(rng, n), upper + upper.T, budget)
+
+    @pytest.mark.parametrize("a", [2**24, 2**51])
+    def test_weights_that_float32_would_round(self, a):
+        # a + 1 is not a float32, so a float32 field a - (a + 1) would read 0
+        w = np.array([[0, a, a + 1], [a, 0, 1], [a + 1, 1, 0]], dtype=np.int64)
+        assert_matches_scalar(all_states(3), w)
+
+    def test_fields_beyond_float64_are_refused(self):
+        w = np.array([[0, 2**52, 2**52], [2**52, 0, 0], [2**52, 0, 0]], dtype=np.int64)
+        with pytest.raises(hopfield.NetworkError):
+            converge_many(all_states(3), w)
+
+    @pytest.mark.parametrize(
+        "states, w",
+        [
+            (np.array([[1, 0]]), np.array([[0, 1], [1, 0]])),
+            (np.array([[1, -1]]), np.array([[0.0, 0.5], [0.5, 0.0]])),
+        ],
+    )
+    def test_inputs_it_cannot_relax_exactly_are_refused(self, states, w):
+        with pytest.raises(hopfield.NetworkError):
+            converge_many(states, w)
 
 
 class TestEnergy:
