@@ -4,7 +4,7 @@ Subcommands: ``cluster`` (random-restart attractor clustering),
 ``baseline`` (score-quantile split), ``inspect`` (rearranged chart with
 curves), ``generate`` (synthetic charts), and ``fixture`` (built-in
 regression check).  Exit codes: 0 ok, 1 input/parse error, 2 invalid
-parameters, 3 all trials failed, 4 fixture check failed.
+parameters, 4 fixture check failed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import clustering, datagen, hopfield, reference, render, report, spchart
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PARAMS = 2
-EXIT_ALL_TRIALS_FAILED = 3
 EXIT_FIXTURE = 4
 
 
@@ -74,12 +73,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             f"--clusters: cannot make {args.clusters} clusters from {chart.num_students} students",
         )
 
-    try:
-        best, summaries = clustering.run_trials(
-            chart, args.clusters, args.trials, args.seed, workers=workers
-        )
-    except clustering.AllTrialsFailed as exc:
-        return _fail(EXIT_ALL_TRIALS_FAILED, str(exc))
+    best, summaries = clustering.run_trials(
+        chart, args.clusters, args.trials, args.seed, workers=workers
+    )
 
     parameters = {
         "clusters": args.clusters,

@@ -38,17 +38,6 @@ class EmptyClustering(ClusteringError):
         super().__init__("clustering has no clusters")
 
 
-class ConvergenceFailure(RuntimeError):
-    def __init__(self, student_index: int) -> None:
-        self.student_index = student_index
-        super().__init__(f"student row {student_index} exhausted the sweep budget")
-
-
-class AllTrialsFailed(RuntimeError):
-    def __init__(self, trials: int, first_error: str) -> None:
-        super().__init__(f"all {trials} trials failed; first error: {first_error}")
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One cluster: member row indices, the binary image of the fixed point
@@ -83,7 +72,6 @@ class TrialSummary:
     f1: float
     f2: float
     n_clusters: int
-    error: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +143,7 @@ def _cluster_with_sweeps(
     w = hopfield.hebbian_learn(chart.bits[list(reps)])
     if states is None:
         states = hopfield.bipolar_from_binary(chart.bits)
-    terminal, sweeps, converged = hopfield.converge_many(states, w)
-    if not converged.all():
-        raise ConvergenceFailure(int(np.flatnonzero(~converged)[0]))
+    terminal, sweeps, _ = hopfield.converge_many(states, w)
     clusters = _group_by_attractor(chart, terminal)
     return Clustering(clusters, chart, reps), sweeps
 
@@ -220,10 +206,7 @@ def _run_one_trial(
     seed = trial_seed(master_seed, t)
     rng = np.random.default_rng(seed)
     reps = select_representatives(chart, m, rng)
-    try:
-        clustering = rnn_cluster(chart, reps, states=states)
-    except ConvergenceFailure as exc:  # recorded, never aborts the whole run
-        return TrialSummary(trial_index=t, seed=seed, f1=1.0, f2=1.0, n_clusters=0, error=str(exc))
+    clustering = rnn_cluster(chart, reps, states=states)
     return TrialSummary(
         trial_index=t,
         seed=seed,
@@ -267,8 +250,8 @@ def run_trials(
     Trial t is seeded from (master_seed, t), so the outcome is identical
     for any worker count or execution order.  The best trial minimizes f2
     with f1 as tie-break (or the reverse with ``objective="f1"``), then
-    the lowest trial index.  Per-trial failures are recorded in the
-    summaries; the run only fails if every trial does.
+    the lowest trial index.  Every trial yields a clustering: relaxation
+    provably settles (``hopfield.sweep_bound``), so no trial can fail.
     """
     if trials < 1:
         raise ClusteringError("need at least one trial")
@@ -293,13 +276,10 @@ def run_trials(
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             summaries = [s for part in pool.map(_trial_chunk, jobs) for s in part]
 
-    ok = [s for s in summaries if s.error is None]
-    if not ok:
-        raise AllTrialsFailed(trials, summaries[0].error or "unknown")
     if objective == "f2":
-        best_summary = min(ok, key=lambda s: (s.f2, s.f1, s.trial_index))
+        best_summary = min(summaries, key=lambda s: (s.f2, s.f1, s.trial_index))
     else:
-        best_summary = min(ok, key=lambda s: (s.f1, s.f2, s.trial_index))
+        best_summary = min(summaries, key=lambda s: (s.f1, s.f2, s.trial_index))
 
     # rebuild the winning trial in full, including convergence statistics
     rng = np.random.default_rng(best_summary.seed)

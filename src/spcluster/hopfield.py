@@ -3,9 +3,10 @@
 States are length-N vectors over {-1, +1}.  One sweep updates components
 in fixed ascending order, each update seeing the components already
 updated earlier in the same sweep, with sgn(0) = +1.  For a symmetric,
-zero-diagonal connection matrix every trajectory reaches a fixed point;
-``converge`` checks that condition eagerly so nonconvergence can never
-pass silently.
+zero-diagonal integer connection matrix every trajectory reaches a fixed
+point within ``sweep_bound(w)`` sweeps.  The kernels validate the matrix
+eagerly and raise ``NetworkError`` if a state is still changing at that
+bound, so nonconvergence can never pass silently.
 
 The scalar ``sweep``/``converge`` use integer arithmetic and are the
 reference for the batch kernel ``converge_many``, whose float fields are
@@ -20,8 +21,6 @@ import numpy as np
 
 ENUMERATION_LIMIT = 20  # 2^N states are materialized
 BASIN_LIMIT = 16
-
-DEFAULT_MAX_SWEEPS = 1000
 
 
 class NetworkError(ValueError):
@@ -44,24 +43,17 @@ class TooLarge(NetworkError):
         super().__init__(f"exhaustive scan over 2^{n} states exceeds the limit of 2^{limit}")
 
 
-class LengthMismatch(NetworkError):
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
-
-
 @dataclass(frozen=True, eq=False)
 class ConvergenceResult:
     """Outcome of iterating sweeps from one initial state.
 
     ``sweeps_used`` counts every sweep performed, including the final
     confirming sweep that flips nothing; a fixed-point input therefore
-    reports 1.  ``converged`` is False only when the sweep budget ran out
-    while the state was still changing.
+    reports 1.
     """
 
     fixed_point: np.ndarray
     sweeps_used: int
-    converged: bool
 
 
 def _as_state(v) -> np.ndarray:
@@ -96,7 +88,7 @@ def hebbian_learn(patterns) -> np.ndarray:
     """
     p = np.asarray(patterns)
     if p.ndim != 2 or p.shape[0] < 1:
-        raise LengthMismatch("patterns must form a non-empty M x N matrix")
+        raise NetworkError("patterns must form a non-empty M x N matrix")
     if not np.isin(p, (0, 1)).all():
         raise NetworkError("patterns must be binary")
     b = (2 * p.astype(np.int64) - 1)
@@ -115,12 +107,6 @@ def check_weights(w: np.ndarray) -> np.ndarray:
     if (w != w.T).any():
         raise NotSymmetric()
     return w
-
-
-def local_field(state, w: np.ndarray, i: int) -> int:
-    """Weighted input sum at unit i: sum_k w[i, k] * x[k]."""
-    x = _as_state(state)
-    return int(np.asarray(w)[i] @ x.astype(np.int64))
 
 
 def sweep(state, w: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -143,21 +129,67 @@ def sweep(state, w: np.ndarray) -> tuple[np.ndarray, bool]:
     return out, changed
 
 
-def converge(state0, w: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ConvergenceResult:
-    """Iterate sweeps until a sweep flips nothing or the budget runs out.
+def _abs_row_sums(w: np.ndarray) -> np.ndarray:
+    """Row sums of |w| for an integer matrix, exact as float64.
 
-    Requires a symmetric zero-diagonal matrix, for which termination is
-    guaranteed; the budget exists to make misuse loud rather than silent.
+    A field is a sum of +-w_jk, so it and every partial sum are integers
+    of magnitude at most its row's sum.  Raises ``NetworkError`` for
+    non-integer entries and for row sums of 2^53 or more, which float64
+    cannot hold exactly.
     """
-    if max_sweeps < 1:
-        raise NetworkError("max_sweeps must be at least 1")
+    if w.dtype.kind not in "biu" and not np.array_equal(w, np.trunc(w)):
+        raise NetworkError("connection matrix entries must be integers")
+    # converted to float before abs so that the int64 minimum cannot wrap;
+    # the float sum only rounds once it has already reached 2^53
+    sums = np.abs(w.astype(np.float64)).sum(axis=1)
+    bound = sums.max(initial=0.0)
+    if bound >= 2.0**53:
+        raise NetworkError(f"fields up to {bound:.3g} are not exact in float64")
+    return sums
+
+
+def sweep_bound(w: np.ndarray, abs_row_sums: np.ndarray | None = None) -> int:
+    """Sweeps that relaxation under w needs at most, from any start:
+    S + N + 1, where S = sum_ij |w_ij|.
+
+    For a symmetric zero-diagonal integer matrix every field
+    h_j = sum_k w_jk x_k is an integer, and updating unit j changes the
+    energy E = -1/2 x'Wx by -(x_j' - x_j) h_j.
+
+    - A strict flip (h_j != 0) sets x_j to sgn(h_j), so E falls by
+      2 |h_j| >= 2.  E lies in [-S/2, S/2] and never rises, so at most
+      S/2 strict flips occur.
+    - A zero-field flip leaves E unchanged and, since sgn(0) = +1, only
+      turns a -1 into +1.  A unit returns to -1 only by a strict flip, so
+      at most N plus the number of strict flips of them occur.
+    - Every sweep that changes the state flips at least one unit, so at
+      most S + N sweeps change it, and one more confirms the fixed point.
+
+    The bound is exact for w = [[0]] from [-1]: one flip, then the
+    confirming sweep.  ``abs_row_sums`` are the row sums of |w| from
+    ``_abs_row_sums``, passed by a caller that already holds them.
+    """
+    if abs_row_sums is None:
+        abs_row_sums = _abs_row_sums(np.asarray(w))
+    # each row sum is an exact integer below 2^53; their total may not be
+    return sum(int(v) for v in abs_row_sums.tolist()) + len(abs_row_sums) + 1
+
+
+def converge(state0, w: np.ndarray) -> ConvergenceResult:
+    """Iterate sweeps until a sweep flips nothing.
+
+    Requires a symmetric zero-diagonal integer matrix, for which that
+    happens within ``sweep_bound(w)`` sweeps; a state still changing after
+    that many raises ``NetworkError``.
+    """
     w = check_weights(w)
     x = _as_state(state0)
-    for s in range(1, max_sweeps + 1):
+    budget = sweep_bound(w)
+    for s in range(1, budget + 1):
         x, changed = sweep(x, w)
         if not changed:
-            return ConvergenceResult(x, s, True)
-    return ConvergenceResult(x, max_sweeps, False)
+            return ConvergenceResult(x, s)
+    raise NetworkError(f"state still changing after {budget} sweeps")
 
 
 def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
@@ -179,59 +211,41 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def _field_dtype(w: np.ndarray) -> type:
-    """The narrowest float type in which every field of w is exact.
-
-    A field is a sum of +-w_jk, so it and every partial sum are integers
-    of magnitude at most the largest row sum of |w|.  float32 holds such
-    integers exactly below 2^24 and float64 below 2^53.
-    """
-    if w.dtype.kind not in "biu" and not np.array_equal(w, np.trunc(w)):
-        raise NetworkError("connection matrix entries must be integers")
-    # converted to float before abs so that the int64 minimum cannot wrap;
-    # the float sum only rounds once it has already reached 2^53
-    bound = np.abs(w.astype(np.float64)).sum(axis=1).max(initial=0.0)
-    if bound < 2.0**24:
-        return np.float32
-    if bound < 2.0**53:
-        return np.float64
-    raise NetworkError(f"fields up to {bound:.3g} are not exact in float64")
-
-
-def converge_many(
-    states, w: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def converge_many(states, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch variant of ``converge`` over rows of a B x N state matrix.
 
     Row trajectories are independent, so this is exactly ``converge``
     applied per row.  Equal rows share a trajectory, so only the distinct
     rows are relaxed and their results are copied to every duplicate.
-    Fields are float BLAS products, exact because ``_field_dtype`` picks a
-    float type that holds every partial sum.  Returns the terminal states,
-    per-row sweep counts, and per-row convergence flags.  Raises
-    ``NetworkError`` for entries other than -1/+1, for non-integer
-    weights, and for weights whose fields could reach 2^53.
+    Fields are float BLAS products, exact because the float type holds
+    every partial sum.  Returns the terminal states, per-row sweep counts,
+    and a per-row convergence flag that is always True, since every row
+    settles within ``sweep_bound(w)`` sweeps or the call raises
+    ``NetworkError``.  Also raises ``NetworkError`` for entries other than
+    -1/+1, for non-integer weights, and for weights whose fields could
+    reach 2^53.
     """
-    if max_sweeps < 1:
-        raise NetworkError("max_sweeps must be at least 1")
     w = check_weights(w)
     x = np.asarray(states)
     if x.ndim != 2:
         raise NetworkError("states must form a B x N matrix")
     n = x.shape[1]
     if w.shape[0] != n:
-        raise LengthMismatch(f"states have {n} components but matrix is {w.shape[0]} wide")
+        raise NetworkError(f"states have {n} components but matrix is {w.shape[0]} wide")
     if not ((x == 1) | (x == -1)).all():
         raise NetworkError("state entries must all be -1 or +1")
-    dtype = _field_dtype(w)
+    row_sums = _abs_row_sums(w)
+    budget = sweep_bound(w, row_sums)
+    # float32 holds every field exactly while the largest row sum is below
+    # 2^24; float64 holds them below 2^53, which _abs_row_sums enforces
+    dtype = np.float32 if row_sums.max(initial=0.0) < 2.0**24 else np.float64
 
     first, inverse = distinct_rows(x)
     wf = w.astype(dtype)
     xd = x[first].astype(dtype)
     sweeps = np.zeros(first.size, dtype=np.int64)
-    converged = np.zeros(first.size, dtype=bool)
     active = np.arange(first.size)
-    for _ in range(max_sweeps):
+    for _ in range(budget):
         if active.size == 0:
             break
         # column-major, so that each unit's column is contiguous
@@ -244,12 +258,13 @@ def converge_many(
         changed = (xa != before).any(axis=1)
         xd[active] = xa
         sweeps[active] += 1
-        converged[active[~changed]] = True
         active = active[changed]
+    if active.size:
+        raise NetworkError(f"{active.size} distinct rows still changing after {budget} sweeps")
 
     out = xd.astype(np.int8)[inverse]
     out.flags.writeable = False
-    return out, sweeps[inverse], converged[inverse]
+    return out, sweeps[inverse], np.ones(x.shape[0], dtype=bool)
 
 
 def energy(state, w: np.ndarray) -> float:
@@ -291,17 +306,14 @@ def enumerate_fixed_points(w: np.ndarray) -> list[np.ndarray]:
     return found
 
 
-def basin_map(w: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> dict[tuple[int, ...], tuple[int, ...]]:
+def basin_map(w: np.ndarray) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map every state (as a bipolar tuple) to its terminal fixed point."""
     w = check_weights(w)
     n = w.shape[0]
     if n > BASIN_LIMIT:
         raise TooLarge(n, BASIN_LIMIT)
     states = all_states(n)
-    terminal, _, converged = converge_many(states, w, max_sweeps)
-    if not converged.all():
-        bad = int(np.flatnonzero(~converged)[0])
-        raise NetworkError(f"state {bad} did not converge within {max_sweeps} sweeps")
+    terminal, _, _ = converge_many(states, w)
     return {
         tuple(int(v) for v in src): tuple(int(v) for v in dst)
         for src, dst in zip(states, terminal)

@@ -88,7 +88,6 @@ def build_cluster_report(
                 "f1": s.f1,
                 "f2": s.f2,
                 "clusters": s.n_clusters,
-                **({"error": s.error} if s.error else {}),
             }
             for s in summaries
         ],

@@ -68,18 +68,6 @@ DRILL_THRESHOLD = 0.65
 PRETEST_THRESHOLD = 0.35
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """One student's row: a binary answer vector plus the student's label."""
-
-    bits: tuple[int, ...]
-    student_id: str
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ChartError(f"score vector for {self.student_id!r} has non-binary entries")
-
-
 @dataclass(frozen=True, eq=False)
 class SPChart:
     """Immutable L x N binary answer matrix with row/column labels."""
@@ -115,13 +103,6 @@ class SPChart:
     @property
     def num_problems(self) -> int:
         return self.bits.shape[1]
-
-    @property
-    def rows(self) -> tuple[ScoreVector, ...]:
-        return tuple(
-            ScoreVector(tuple(int(b) for b in row), sid)
-            for row, sid in zip(self.bits, self.student_ids)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SPChart):
@@ -289,7 +270,11 @@ def curves(rc: RearrangedChart) -> tuple[list[tuple[int, int]], list[tuple[int, 
 
 
 def correct_rates(chart: SPChart) -> np.ndarray:
-    """Per-problem correct-answer rate: column sum / number of students."""
+    """Per-problem correct-answer rate: column sum / number of students.
+
+    With ``caution_index`` this is the paper's per-student definition, and
+    the reference that tests check ``caution_from_counts`` against.
+    """
     return chart.bits.mean(axis=0)
 
 
@@ -316,9 +301,12 @@ def caution_index(row, rates) -> float:
     """Mean absolute deviation of one answer row from per-problem rates.
 
     Always in [0, 1]; zero when the row equals the rate vector, which
-    happens for every member of a cluster of identical rows.
+    happens for every member of a cluster of identical rows.  This is the
+    paper's per-student definition; ``caution_from_counts`` computes a
+    group's mean of it from column counts, and tests check it against
+    this function.
     """
-    bits = np.asarray(row.bits if isinstance(row, ScoreVector) else row, dtype=float)
+    bits = np.asarray(row, dtype=float)
     mu = np.asarray(rates, dtype=float)
     if bits.shape != mu.shape:
         raise LengthMismatch(mu.shape[0] if mu.ndim else 0, bits.shape[0] if bits.ndim else 0)

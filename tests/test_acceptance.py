@@ -99,8 +99,8 @@ def test_criterion_3_convergence_and_energy_descent():
         np.fill_diagonal(w, 0)
 
         states = hopfield.all_states(n)
-        _, _, converged = hopfield.converge_many(states, w, max_sweeps=2**n)
-        converged_ok &= bool(converged.all())
+        _, sweeps, _ = hopfield.converge_many(states, w)
+        converged_ok &= bool((sweeps <= hopfield.sweep_bound(w)).all())
 
         # replay the dynamics over all starts, checking the energy delta
         # -(x_new - x_old) * field <= 0 at every single-component update

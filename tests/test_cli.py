@@ -174,16 +174,6 @@ class TestCluster:
              "--output", str(tmp_path / "no" / "such" / "dir" / "r.json")]
         ) == 2
 
-    def test_all_trials_failed_exits_three(self, generated_chart, tmp_path, monkeypatch):
-        from spcluster import clustering
-
-        def boom(*args, **kwargs):
-            raise clustering.AllTrialsFailed(5, "synthetic failure")
-
-        monkeypatch.setattr(clustering, "run_trials", boom)
-        assert run_cli(["cluster", "--input", str(generated_chart),
-                        "--output", str(tmp_path / "r.json")]) == 3
-
     def test_summary_on_stdout(self, generated_chart, tmp_path, capsys):
         assert run_cli(
             ["cluster", "--input", str(generated_chart), "--clusters", "3",

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spcluster import clustering, datagen, hopfield, spchart
 from spcluster.clustering import (
-    AllTrialsFailed,
     Cluster,
     Clustering,
     EmptyClustering,
@@ -364,15 +363,6 @@ class TestRunTrials:
 
         monkeypatch.setattr(hopfield, "converge_many", broken)
         with pytest.raises(TypeError, match="kernel bug"):
-            run_trials(chart_of(np.eye(4, dtype=np.int8)), 2, 3, master_seed=0)
-
-    def test_exhausted_sweep_budgets_are_recorded_as_failed_trials(self, monkeypatch):
-        def never_settles(states, w, max_sweeps=hopfield.DEFAULT_MAX_SWEEPS):
-            rows = np.asarray(states).shape[0]
-            return np.asarray(states), np.full(rows, max_sweeps), np.zeros(rows, dtype=bool)
-
-        monkeypatch.setattr(hopfield, "converge_many", never_settles)
-        with pytest.raises(AllTrialsFailed, match="sweep budget"):
             run_trials(chart_of(np.eye(4, dtype=np.int8)), 2, 3, master_seed=0)
 
     def test_trial_seed_is_stable(self):

@@ -19,8 +19,8 @@ from spcluster.hopfield import (
     energy,
     enumerate_fixed_points,
     hebbian_learn,
-    local_field,
     sweep,
+    sweep_bound,
 )
 from spcluster.reference import (
     REFERENCE_FIXED_POINTS,
@@ -46,6 +46,10 @@ def naive_hebbian(patterns):
 
 def naive_field(state, w, i):
     return sum(w[i][k] * state[k] for k in range(len(state)))
+
+def local_field(state, w, i):
+    """Weighted input sum at unit i: sum_k w[i, k] * x[k]."""
+    return int(np.asarray(w)[i] @ np.asarray(state).astype(np.int64))
 
 def brute_force_trajectory(state, w, max_updates=10_000):
     """Literal one-component-at-a-time updates until N in a row change nothing."""
@@ -107,7 +111,7 @@ class TestHebbianLearn:
     def test_rejects_bad_input(self):
         with pytest.raises(hopfield.NetworkError):
             hebbian_learn([[0, 2]])
-        with pytest.raises(hopfield.LengthMismatch):
+        with pytest.raises(hopfield.NetworkError):
             hebbian_learn(np.zeros((0, 4), dtype=int))
 
 
@@ -164,25 +168,28 @@ class TestConverge:
     def test_reference_points_converge_in_one_sweep(self):
         for point in REFERENCE_FIXED_POINTS:
             res = converge(bipolar_from_binary(point), REF_W)
-            assert res.converged
             assert res.sweeps_used == 1
             assert np.array_equal(res.fixed_point, bipolar_from_binary(point))
 
     def test_all_reference_states_converge(self):
-        terminal, sweeps, converged = converge_many(all_states(10), REF_W)
-        assert converged.all()
+        _, sweeps, _ = converge_many(all_states(10), REF_W)
         assert (sweeps >= 1).all()
+        assert (sweeps <= sweep_bound(REF_W)).all()
 
     def test_zero_matrix(self):
         res = converge(np.array([-1, 1, -1]), np.zeros((3, 3), dtype=int))
-        assert res.converged
         assert res.fixed_point.tolist() == [1, 1, 1]
         assert res.sweeps_used == 2  # one changing sweep plus the confirming one
 
-    def test_budget_exhaustion_is_loud(self):
+    def test_budget_exhaustion_is_loud(self, monkeypatch):
+        # [1, 1] needs a flipping sweep and a confirming one, so a budget
+        # of one sweep leaves it still changing
+        monkeypatch.setattr(hopfield, "sweep_bound", lambda *args: 1)
         w = np.array([[0, -1], [-1, 0]])
-        res = converge(np.array([1, 1]), w, max_sweeps=1)
-        assert not res.converged
+        with pytest.raises(hopfield.NetworkError):
+            converge(np.array([1, 1]), w)
+        with pytest.raises(hopfield.NetworkError):
+            converge_many(np.array([[1, 1]]), w)
 
     def test_validates_weights(self):
         with pytest.raises(NotSymmetric):
@@ -190,7 +197,7 @@ class TestConverge:
         with pytest.raises(NonzeroDiagonal):
             converge(np.array([1, 1]), np.array([[1, 0], [0, 1]]))
         with pytest.raises(hopfield.NetworkError):
-            converge(np.array([1, 1]), np.array([[0, 1], [1, 0]]), max_sweeps=0)
+            converge(np.array([1, -1]), np.array([[0.0, 0.5], [0.5, 0.0]]))
 
     def test_reconverging_is_a_no_op(self):
         rng = np.random.default_rng(17)
@@ -206,8 +213,7 @@ class TestConverge:
         rng = np.random.default_rng(23)
         w = hebbian_learn(rng.integers(0, 2, size=(4, 9)))
         starts = rng.choice([-1, 1], size=(40, 9))
-        terminal, sweeps, converged = converge_many(starts, w)
-        assert converged.all()
+        terminal, sweeps, _ = converge_many(starts, w)
         for k in range(starts.shape[0]):
             res = converge(starts[k], w)
             assert np.array_equal(res.fixed_point, terminal[k])
@@ -220,16 +226,12 @@ def repeated_rows(rng, n):
     return pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 16)))]
 
 
-def assert_matches_scalar(starts, w, max_sweeps=hopfield.DEFAULT_MAX_SWEEPS):
-    terminal, sweeps, converged = converge_many(starts, w, max_sweeps)
+def assert_matches_scalar(starts, w):
+    terminal, sweeps, _ = converge_many(starts, w)
     for k, start in enumerate(starts):
-        res = converge(start, w, max_sweeps)
+        res = converge(start, w)
         assert np.array_equal(terminal[k], res.fixed_point)
         assert sweeps[k] == res.sweeps_used
-        assert converged[k] == res.converged
-
-
-BUDGETS = st.sampled_from([1, 2, 3, hopfield.DEFAULT_MAX_SWEEPS])
 
 
 class TestConvergeManyAgainstScalar:
@@ -237,21 +239,20 @@ class TestConvergeManyAgainstScalar:
     ``converge`` is the reference for every row."""
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 8), st.integers(1, 70), BUDGETS, st.integers(0, 2**32 - 1))
-    def test_hebbian_networks(self, m, n, budget, seed):
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
         w = hebbian_learn(rng.integers(0, 2, size=(m, n)))
-        assert_matches_scalar(repeated_rows(rng, n), w, budget)
+        assert_matches_scalar(repeated_rows(rng, n), w)
 
     # the scales put the largest field below 2^24, across it, and far
     # above it, so both float widths are exercised
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 70), st.sampled_from([3, 2**19, 2**40]), BUDGETS,
-           st.integers(0, 2**32 - 1))
-    def test_symmetric_integer_networks(self, n, scale, budget, seed):
+    @given(st.integers(1, 70), st.sampled_from([3, 2**19, 2**40]), st.integers(0, 2**32 - 1))
+    def test_symmetric_integer_networks(self, n, scale, seed):
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.integers(-scale, scale + 1, size=(n, n)), 1)
-        assert_matches_scalar(repeated_rows(rng, n), upper + upper.T, budget)
+        assert_matches_scalar(repeated_rows(rng, n), upper + upper.T)
 
     @pytest.mark.parametrize("a", [2**24, 2**51])
     def test_weights_that_float32_would_round(self, a):
@@ -274,6 +275,37 @@ class TestConvergeManyAgainstScalar:
     def test_inputs_it_cannot_relax_exactly_are_refused(self, states, w):
         with pytest.raises(hopfield.NetworkError):
             converge_many(states, w)
+
+
+def assert_within_bound(w):
+    states = all_states(w.shape[0])
+    bound = sweep_bound(w)
+    _, sweeps, _ = converge_many(states, w)
+    assert (sweeps <= bound).all()
+    assert all(converge(s, w).sweeps_used <= bound for s in states)
+
+
+class TestSweepBound:
+    """Relaxation from every start settles within ``sweep_bound(w)``."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_hebbian_networks(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        assert_within_bound(hebbian_learn(rng.integers(0, 2, size=(m, n))))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_symmetric_integer_networks(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(-scale, scale + 1, size=(n, n)), 1)
+        assert_within_bound(upper + upper.T)
+
+    def test_bound_is_reached(self):
+        w = np.zeros((1, 1), dtype=int)
+        assert sweep_bound(w) == 2
+        assert converge(np.array([-1]), w).sweeps_used == 2
+        assert converge_many(np.array([[-1]]), w)[1].tolist() == [2]
 
 
 class TestEnergy:

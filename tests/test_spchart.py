@@ -10,7 +10,6 @@ from spcluster.spchart import (
     LengthMismatch,
     NonBinaryCell,
     RaggedRows,
-    ScoreVector,
     SPChart,
 )
 
@@ -25,13 +24,17 @@ def chart_of(rows, student_ids=None, problem_ids=None):
 
 
 @st.composite
-def charts(draw, max_students=12, max_problems=10):
+def charts_of_width(draw, n, max_students=12):
     L = draw(st.integers(1, max_students))
-    N = draw(st.integers(1, max_problems))
     rows = draw(
-        st.lists(st.lists(st.integers(0, 1), min_size=N, max_size=N), min_size=L, max_size=L)
+        st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=L, max_size=L)
     )
     return chart_of(rows)
+
+
+@st.composite
+def charts(draw, max_students=12, max_problems=10):
+    return draw(charts_of_width(draw(st.integers(1, max_problems)), max_students))
 
 
 class TestParse:
@@ -225,7 +228,7 @@ class TestRatesAndCaution:
     def test_homogeneous_cluster_gives_zero(self):
         chart = chart_of([[1, 0, 1]] * 5)
         rates = spchart.correct_rates(chart)
-        for row in chart.rows:
+        for row in chart.bits:
             assert spchart.caution_index(row, rates) == 0.0
         assert spchart.average_caution(chart) == 0.0
 
@@ -239,10 +242,6 @@ class TestRatesAndCaution:
         with pytest.raises(LengthMismatch):
             spchart.caution_index([1, 0, 1], [0.5, 0.5])
 
-    def test_accepts_score_vector(self):
-        sv = ScoreVector((1, 0), "S1")
-        assert spchart.caution_index(sv, [0.5, 0.5]) == 0.5
-
     @settings(deadline=None)
     @given(charts())
     def test_bounds(self, chart):
@@ -250,6 +249,17 @@ class TestRatesAndCaution:
         for row in chart.bits:
             assert 0.0 <= spchart.caution_index(row, rates) <= 1.0
         assert 0.0 <= spchart.average_caution(chart) <= 1.0
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_counts_match_per_student_definition(self, n, data):
+        groups = data.draw(st.lists(charts_of_width(n), min_size=1, max_size=4))
+        counts = [g.bits.sum(axis=0) for g in groups]
+        gammas = spchart.caution_from_counts(counts, [g.num_students for g in groups])
+        for gamma, g in zip(gammas, groups):
+            rates = spchart.correct_rates(g)
+            expected = np.mean([spchart.caution_index(row, rates) for row in g.bits])
+            assert abs(gamma - expected) <= 1e-12
 
     @settings(deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=16), st.data())
@@ -262,10 +272,6 @@ class TestRatesAndCaution:
 
 
 class TestTypesValidation:
-    def test_score_vector_rejects_non_binary(self):
-        with pytest.raises(spchart.ChartError):
-            ScoreVector((1, 2), "S1")
-
     def test_chart_rejects_non_binary(self):
         with pytest.raises(spchart.ChartError):
             chart_of([[0, 2]])
@@ -278,10 +284,6 @@ class TestTypesValidation:
         chart = chart_of([[1, 0]])
         with pytest.raises(ValueError):
             chart.bits[0, 0] = 0
-
-    def test_rows_view(self):
-        chart = chart_of([[1, 0], [0, 1]])
-        assert chart.rows[1] == ScoreVector((0, 1), "S2")
 
     def test_take_rows(self):
         chart = chart_of([[1, 0], [0, 1], [1, 1]])
