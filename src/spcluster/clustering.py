@@ -13,7 +13,6 @@ order and worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,23 @@ class Clustering:
     def sizes(self) -> list[int]:
         return [c.size for c in self.clusters]
 
+    def gammas(self) -> list[float]:
+        return [c.gamma for c in self.clusters]
+
+
+@dataclass(frozen=True, eq=False)
+class _Scores:
+    """A trial's clusters reduced to what ``f1`` and ``f2`` read."""
+
+    cluster_sizes: list[int]
+    cluster_gammas: list[float]
+
+    def sizes(self) -> list[int]:
+        return self.cluster_sizes
+
+    def gammas(self) -> list[float]:
+        return self.cluster_gammas
+
 
 @dataclass(frozen=True)
 class TrialSummary:
@@ -99,6 +115,72 @@ def select_representatives(chart: SPChart, m: int, rng: np.random.Generator) -> 
     return tuple(int(i) for i in rng.choice(chart.num_students, size=m, replace=False))
 
 
+@dataclass(frozen=True, eq=False)
+class _ChartRows:
+    """A chart prepared once for many trials.
+
+    ``states`` is the chart in bipolar form.  Its distinct rows are
+    numbered in order of the first student holding each: ``first[k]`` is
+    that student, ``inverse[i]`` is student i's distinct row, ``mult[k]``
+    is how many students hold row k, and ``weighted[k]`` is row k's bits
+    times ``mult[k]``, so that summing weighted rows gives column counts.
+    """
+
+    chart: SPChart
+    states: np.ndarray
+    first: np.ndarray
+    inverse: np.ndarray
+    mult: np.ndarray
+    weighted: np.ndarray
+
+
+def _first_seen(first: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber the groups of ``hopfield.distinct_rows`` in order of first
+    occurrence."""
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+def _prepare(chart: SPChart) -> _ChartRows:
+    states = hopfield.bipolar_from_binary(chart.bits)
+    first, inverse = _first_seen(*hopfield.distinct_rows(states))
+    # no weighted cell exceeds L, so the smallest type holding L will do
+    dtype = np.min_scalar_type(chart.num_students)
+    mult = np.bincount(inverse).astype(dtype)
+    weighted = chart.bits[first].astype(dtype) * mult[:, None]
+    return _ChartRows(chart, states, first, inverse, mult, weighted)
+
+
+def _relax(rows: _ChartRows, reps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal states of the distinct rows under the network storing
+    ``reps``, and the sweeps every student took."""
+    w = hopfield.hebbian_learn(rows.chart.bits[list(reps)])
+    terminal, sweeps, _ = hopfield.converge_many(rows.states, w, (rows.first, rows.inverse))
+    return terminal[rows.first], sweeps
+
+
+def _label(terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row's cluster, and each cluster's terminal state.
+
+    Rows sharing a terminal state share a cluster.  The rows are in order
+    of first occurrence over student index, so numbering clusters by
+    their first row numbers them by first discovery over student index.
+    """
+    first, labels = _first_seen(*hopfield.distinct_rows(terminal))
+    return labels, terminal[first]
+
+
+def _score(rows: _ChartRows, labels: np.ndarray) -> _Scores:
+    """Cluster sizes and gammas from the distinct rows' labels alone."""
+    sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
+    spans = np.bincount(labels)
+    by_cluster = rows.weighted[np.argsort(labels, kind="stable")]
+    counts = np.add.reduceat(by_cluster, np.cumsum(spans) - spans, axis=0, dtype=np.int64)
+    return _Scores(sizes.tolist(), spchart.caution_from_counts(counts, sizes))
+
+
 def _clusters(
     chart: SPChart, members: np.ndarray, sizes: np.ndarray, fixed_points
 ) -> tuple[Cluster, ...]:
@@ -113,54 +195,37 @@ def _clusters(
     )
 
 
-def _group_by_attractor(chart: SPChart, terminal: np.ndarray) -> tuple[Cluster, ...]:
-    """Clusters of the students that share a terminal state.
-
-    Clusters appear in order of first discovery over student index and
-    list their members in ascending order.
-    """
-    first, inverse = hopfield.distinct_rows(terminal)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    labels = rank[inverse]
-    fixed_points = hopfield.binary_from_bipolar(terminal[first[order]]).tolist()
-    return _clusters(
-        chart,
-        np.argsort(labels, kind="stable"),
-        np.bincount(labels),
-        [tuple(point) for point in fixed_points],
-    )
-
-
-def _cluster_with_sweeps(
-    chart: SPChart, rep_indices, states: np.ndarray | None = None
-) -> tuple[Clustering, np.ndarray]:
+def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.ndarray]:
+    """The full clustering for ``rep_indices``, with member lists, and the
+    sweeps every student took."""
+    chart = rows.chart
     reps = tuple(int(i) for i in rep_indices)
     for i in reps:
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
-    w = hopfield.hebbian_learn(chart.bits[list(reps)])
-    if states is None:
-        states = hopfield.bipolar_from_binary(chart.bits)
-    terminal, sweeps, _ = hopfield.converge_many(states, w)
-    clusters = _group_by_attractor(chart, terminal)
+    terminal, sweeps = _relax(rows, reps)
+    labels, points = _label(terminal)
+    students = labels[rows.inverse]
+    fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
+    clusters = _clusters(
+        chart, np.argsort(students, kind="stable"), np.bincount(students), fixed_points
+    )
     return Clustering(clusters, chart, reps), sweeps
 
 
-def rnn_cluster(chart: SPChart, rep_indices, *, states: np.ndarray | None = None) -> Clustering:
+def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
     """Cluster students by the fixed point their row relaxes to.
 
-    Deterministic given the chart and representative indices; the number
-    of clusters never exceeds the number of fixed points of the learned
-    network.  ``states`` is ``chart.bits`` in bipolar form; a caller that
-    clusters one chart many times passes it to convert the chart once.
+    Clusters appear in order of first discovery over student index and
+    list their members in ascending order.  Deterministic given the chart
+    and representative indices; the number of clusters never exceeds the
+    number of fixed points of the learned network.
     """
-    clustering, _ = _cluster_with_sweeps(chart, rep_indices, states)
+    clustering, _ = _cluster_with_sweeps(_prepare(chart), rep_indices)
     return clustering
 
 
-def f1(clustering: Clustering, m: int) -> float:
+def f1(clustering: Clustering | _Scores, m: int) -> float:
     """Normalized shortfall of the m-th largest cluster from size L/m.
 
     0 when the m-th largest cluster hits the uniform size exactly, 1 when
@@ -168,18 +233,21 @@ def f1(clustering: Clustering, m: int) -> float:
     """
     if m < 1:
         raise ClusteringError("m must be at least 1")
-    L = clustering.chart.num_students
     sizes = sorted(clustering.sizes(), reverse=True)
+    if not sizes:
+        raise EmptyClustering()
+    L = sum(sizes)  # the clusters partition the students
     mth = sizes[m - 1] if len(sizes) >= m else 0
     # (L/m - mth) / (L/m) with one correctly rounded division
     return (L - m * mth) / L
 
 
-def f2(clustering: Clustering) -> float:
+def f2(clustering: Clustering | _Scores) -> float:
     """Worst (largest) per-cluster average caution index."""
-    if not clustering.clusters:
+    gammas = clustering.gammas()
+    if not gammas:
         raise EmptyClustering()
-    return max(c.gamma for c in clustering.clusters)
+    return max(gammas)
 
 
 def score_baseline(chart: SPChart, m: int) -> Clustering:
@@ -200,26 +268,25 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
     return Clustering(_clusters(chart, order, sizes, [None] * m), chart, ())
 
 
-def _run_one_trial(
-    chart: SPChart, states: np.ndarray, m: int, master_seed: int, t: int
-) -> TrialSummary:
+def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialSummary:
     seed = trial_seed(master_seed, t)
-    rng = np.random.default_rng(seed)
-    reps = select_representatives(chart, m, rng)
-    clustering = rnn_cluster(chart, reps, states=states)
+    reps = select_representatives(rows.chart, m, np.random.default_rng(seed))
+    terminal, _ = _relax(rows, reps)
+    labels, _ = _label(terminal)
+    scores = _score(rows, labels)
     return TrialSummary(
         trial_index=t,
         seed=seed,
-        f1=f1(clustering, m),
-        f2=f2(clustering),
-        n_clusters=len(clustering.clusters),
+        f1=f1(scores, m),
+        f2=f2(scores),
+        n_clusters=len(scores.cluster_sizes),
     )
 
 
 def _trial_chunk(args) -> list[TrialSummary]:
     chart, m, master_seed, lo, hi = args
-    states = hopfield.bipolar_from_binary(chart.bits)
-    return [_run_one_trial(chart, states, m, master_seed, t) for t in range(lo, hi)]
+    rows = _prepare(chart)
+    return [_run_one_trial(rows, m, master_seed, t) for t in range(lo, hi)]
 
 
 def workers_from_env() -> int:
@@ -262,11 +329,15 @@ def run_trials(
     if objective not in ("f2", "f1"):
         raise ClusteringError(f"unknown objective {objective!r}")
 
+    rows = _prepare(chart)
     if workers is None:
         workers = 1
     if workers <= 1 or trials == 1:
-        summaries = _trial_chunk((chart, m, master_seed, 0, trials))
+        summaries = [_run_one_trial(rows, m, master_seed, t) for t in range(trials)]
     else:
+        # imported here: it pulls in multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         jobs = [
             (chart, m, master_seed, int(lo), int(hi))
@@ -281,10 +352,10 @@ def run_trials(
     else:
         best_summary = min(summaries, key=lambda s: (s.f1, s.f2, s.trial_index))
 
-    # rebuild the winning trial in full, including convergence statistics
+    # rebuild the winning trial in full: member lists and convergence statistics
     rng = np.random.default_rng(best_summary.seed)
     reps = select_representatives(chart, m, rng)
-    clustering, sweeps = _cluster_with_sweeps(chart, reps)
+    clustering, sweeps = _cluster_with_sweeps(rows, reps)
     values, counts = np.unique(sweeps, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
     report = TrialReport(

@@ -211,12 +211,17 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.ravel()
 
 
-def converge_many(states, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def converge_many(
+    states, w: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch variant of ``converge`` over rows of a B x N state matrix.
 
     Row trajectories are independent, so this is exactly ``converge``
     applied per row.  Equal rows share a trajectory, so only the distinct
     rows are relaxed and their results are copied to every duplicate.
+    ``rows`` is ``distinct_rows(states)``, possibly with the distinct rows
+    reordered; a caller relaxing the same states under many matrices
+    passes it to group them once.
     Fields are float BLAS products, exact because the float type holds
     every partial sum.  Returns the terminal states, per-row sweep counts,
     and a per-row convergence flag that is always True, since every row
@@ -240,7 +245,9 @@ def converge_many(states, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     # 2^24; float64 holds them below 2^53, which _abs_row_sums enforces
     dtype = np.float32 if row_sums.max(initial=0.0) < 2.0**24 else np.float64
 
-    first, inverse = distinct_rows(x)
+    first, inverse = distinct_rows(x) if rows is None else rows
+    if inverse.shape != (x.shape[0],) or (inverse[first] != np.arange(first.size)).any():
+        raise NetworkError("rows do not group these states")
     wf = w.astype(dtype)
     xd = x[first].astype(dtype)
     sweeps = np.zeros(first.size, dtype=np.int64)

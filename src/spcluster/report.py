@@ -22,7 +22,7 @@ def input_digest(data: bytes) -> str:
 
 
 def _cluster_entry(chart: SPChart, cluster, label: str) -> dict:
-    sub = spchart.take_rows(chart, cluster.member_indices)
+    rate = float(chart.bits[list(cluster.member_indices)].mean())
     return {
         "label": label,
         "size": cluster.size,
@@ -32,7 +32,7 @@ def _cluster_entry(chart: SPChart, cluster, label: str) -> dict:
             if cluster.fixed_point is not None
             else None
         ),
-        "chart_type": spchart.classify_type(sub).value,
+        "chart_type": spchart.classify_rate(rate).value,
         "student_ids": [chart.student_ids[i] for i in cluster.member_indices],
     }
 

@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 import numpy as np
 
@@ -146,6 +147,39 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
+def _binary_cells(rows: list[list[str]], skip: int, width: int) -> np.ndarray | None:
+    """The cells after the first ``skip`` of every row as a bit matrix.
+
+    Returns None unless every row holds ``skip + width`` cells and each
+    of those is exactly "0" or "1".  The cells are joined with a
+    separator, so that a cell such as "10" or "" breaks the alternating
+    digit/separator pattern instead of passing for two cells or none.
+    """
+    if set(map(len, rows)) != {skip + width}:
+        return None
+    text = ",".join(chain.from_iterable(islice(r, skip, None) for r in rows))
+    codes = np.frombuffer(text.encode(), dtype=np.uint8)
+    if codes.size != 2 * len(rows) * width - 1 or (codes[1::2] != ord(",")).any():
+        return None
+    bits = codes[::2] - ord("0")  # anything but "0" and "1" wraps past 1
+    if (bits > 1).any():
+        return None
+    return bits.reshape(len(rows), width)
+
+
+def _raise_first_bad_cell(
+    rows: list[list[str]], skip: int, width: int, row_offset: int
+) -> None:
+    """Raise for the first ragged row or non-binary cell, in file order."""
+    for r, record in enumerate(rows):
+        cells = record[skip:]
+        if len(cells) != width:
+            raise RaggedRows(width, len(cells), row=r + row_offset)
+        for c, tok in enumerate(cells):
+            if tok not in ("0", "1"):
+                raise NonBinaryCell(r + row_offset, c + skip + 1, tok)
+
+
 def parse_chart(data: str | bytes) -> SPChart:
     """Parse a chart from CSV text.
 
@@ -154,55 +188,43 @@ def parse_chart(data: str | bytes) -> SPChart:
     is treated as labels when it contains at least one non-numeric token,
     so purely numeric labels are not supported: a numeric cell that is
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
-    are generated as S1..SL and P1..PN.
+    are generated as S1..SL and P1..PN.  Cells may be padded with
+    whitespace; rows of only whitespace are skipped.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ChartError(f"input is not valid UTF-8: {exc}") from exc
-    rows = [
-        [cell.strip() for cell in record]
-        for record in csv.reader(io.StringIO(data))
-        if record and any(cell.strip() for cell in record)
-    ]
+    rows = [record for record in csv.reader(io.StringIO(data)) if "".join(record).strip()]
     if not rows:
         raise EmptyInput()
 
     # a non-numeric token in the first cell alone is explained by a label
     # column, so only tokens beyond position 0 mark the row as a header
-    has_header = any(not _is_numeric(tok) for tok in rows[0][1:])
+    header = [cell.strip() for cell in rows[0]]
+    has_header = any(not _is_numeric(tok) for tok in header[1:])
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise EmptyInput()
-    has_labels = any(not _is_numeric(r[0]) for r in data_rows if r)
+    has_labels = any(not _is_numeric(r[0].strip()) for r in data_rows)
+    skip = 1 if has_labels else 0
 
-    width = len(data_rows[0]) - (1 if has_labels else 0)
+    width = len(data_rows[0]) - skip
     if width < 1:
         raise EmptyInput()
 
-    student_ids: list[str] | None = [] if has_labels else None
-    bits = np.zeros((len(data_rows), width), dtype=np.int8)
-    row_offset = 2 if has_header else 1
-    col_offset = 2 if has_labels else 1
-    for r, record in enumerate(data_rows):
-        cells = record[1:] if has_labels else record
-        if len(cells) != width:
-            raise RaggedRows(width, len(cells), row=r + row_offset)
-        if has_labels:
-            assert student_ids is not None
-            student_ids.append(record[0])
-        for c, tok in enumerate(cells):
-            if tok == "0":
-                continue
-            if tok == "1":
-                bits[r, c] = 1
-            else:
-                raise NonBinaryCell(r + row_offset, c + col_offset, tok)
+    # cells are almost always bare digits; strip them only when that fails
+    bits = _binary_cells(data_rows, skip, width)
+    if bits is None:
+        data_rows = [[cell.strip() for cell in r] for r in data_rows]
+        bits = _binary_cells(data_rows, skip, width)
+    if bits is None:
+        _raise_first_bad_cell(data_rows, skip, width, row_offset=2 if has_header else 1)
 
+    student_ids = [r[0].strip() for r in data_rows] if has_labels else None
     problem_ids: list[str] | None = None
     if has_header:
-        header = rows[0]
         if has_labels and len(header) == width + 1:
             header = header[1:]  # drop the corner cell above the label column
         if len(header) != width:
@@ -278,23 +300,27 @@ def correct_rates(chart: SPChart) -> np.ndarray:
     return chart.bits.mean(axis=0)
 
 
-def classify_type(
-    chart: SPChart,
+def classify_rate(
+    rate: float,
     *,
     drill_threshold: float = DRILL_THRESHOLD,
     pretest_threshold: float = PRETEST_THRESHOLD,
 ) -> ChartType:
-    """Classify by the mean correct rate over all cells.
+    """Classify a mean correct rate over all cells of a chart.
 
     Drill when the mean is at or above ``drill_threshold``, pre-test when
     at or below ``pretest_threshold``, test otherwise.
     """
-    m = float(chart.bits.mean())
-    if m >= drill_threshold:
+    if rate >= drill_threshold:
         return ChartType.DRILL
-    if m <= pretest_threshold:
+    if rate <= pretest_threshold:
         return ChartType.PRETEST
     return ChartType.TEST
+
+
+def classify_type(chart: SPChart, **thresholds: float) -> ChartType:
+    """Classify by the mean correct rate over all cells (``classify_rate``)."""
+    return classify_rate(float(chart.bits.mean()), **thresholds)
 
 
 def caution_index(row, rates) -> float:

@@ -98,6 +98,17 @@ class TestCluster:
         # report JSON round-trips
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_cluster_chart_types_match_their_sub_charts(self, generated_chart, tmp_path):
+        out = tmp_path / "r.json"
+        args = ["cluster", "--input", str(generated_chart), "--clusters", "4",
+                "--trials", "20", "--seed", "3", "--output", str(out)]
+        assert run_cli(args) == 0
+        chart = spchart.parse_chart(generated_chart.read_bytes())
+        by_id = {sid: i for i, sid in enumerate(chart.student_ids)}
+        for entry in json.loads(out.read_text())["best_trial"]["clusters"]:
+            sub = spchart.take_rows(chart, [by_id[sid] for sid in entry["student_ids"]])
+            assert entry["chart_type"] == spchart.classify_type(sub).value
+
     def test_worker_count_does_not_change_bytes(self, generated_chart, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
         base = ["cluster", "--input", str(generated_chart), "--clusters", "3",

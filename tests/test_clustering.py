@@ -78,11 +78,11 @@ def reference_clusters(chart, rep_indices):
 
 
 def scored_partition(bits, labels):
-    """Clusters the production grouping path builds for a given labelling."""
+    """Clusters the production scoring path builds for a given labelling."""
     chart = chart_of(bits)
-    k = int(labels.max()) + 1
-    terminal = np.where(labels[:, None] == np.arange(k), 1, -1).astype(np.int8)
-    return Clustering(clustering._group_by_attractor(chart, terminal), chart, ())
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    return Clustering(clustering._clusters(chart, members, sizes, [None] * sizes.size), chart, ())
 
 
 class TestSelectRepresentatives:
@@ -225,6 +225,12 @@ class TestCostFunctions:
         with pytest.raises(EmptyClustering):
             f2(Clustering((), chart, ()))
 
+    def test_f1_empty(self):
+        # f1 takes L from the cluster sizes, so no clusters is an error too
+        chart = chart_of([[1]])
+        with pytest.raises(EmptyClustering):
+            f1(Clustering((), chart, ()), 1)
+
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 2**32 - 1))
     def test_equal_column_counts_give_identical_f2(self, seed):
@@ -259,6 +265,37 @@ class TestCostFunctions:
         result = scored_partition(bits, np.zeros(len(rows), dtype=int))
         assert result.clusters[0].gamma == 0.25
         assert spchart.average_caution(chart_of(bits)) == 0.25
+
+
+class TestTrialScoring:
+    """Trials score labels of the chart's distinct rows, weighted by how
+    many students hold each; ``rnn_cluster`` builds every member list and
+    scores from member rows, so it is the reference for each trial."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(list(spchart.ChartType)), st.integers(1, 80), st.integers(1, 70),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_each_trial_matches_rnn_cluster(self, chart_type, students, problems, m, seed):
+        # drill charts over few problems repeat most rows; past 62
+        # problems rows are compared whole instead of by packed keys
+        chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
+        m = min(m, students)
+        best, summaries = run_trials(chart, m, 4, master_seed=seed)
+        for s in summaries:
+            reps = select_representatives(chart, m, np.random.default_rng(s.seed))
+            reference = rnn_cluster(chart, reps)
+            assert (s.f1, s.f2, s.n_clusters) == (f1(reference, m), f2(reference), len(reference.clusters))
+        assert (best.f1, best.f2) == (f1(best.clustering, m), f2(best.clustering))
+
+    def test_repeated_rows_are_weighted(self):
+        # three copies of one row and one other row: unweighted rows would
+        # give two clusters of one student each
+        chart = chart_of([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0]])
+        _, summaries = run_trials(chart, 2, 1, master_seed=0)
+        reference = rnn_cluster(chart, select_representatives(
+            chart, 2, np.random.default_rng(summaries[0].seed)))
+        assert reference.sizes() == [3, 1]
+        assert (summaries[0].f1, summaries[0].f2) == (f1(reference, 2), f2(reference))
 
 
 class TestScoreBaseline:

@@ -260,6 +260,31 @@ class TestConvergeManyAgainstScalar:
         w = np.array([[0, a, a + 1], [a, 0, 1], [a + 1, 1, 0]], dtype=np.int64)
         assert_matches_scalar(all_states(3), w)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_precomputed_rows_change_nothing(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        w = hebbian_learn(rng.integers(0, 2, size=(m, n)))
+        states = repeated_rows(rng, n)
+        expected = converge_many(states, w)
+        first, inverse = hopfield.distinct_rows(states)
+        # the distinct rows may come in any order
+        order = rng.permutation(first.size)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        for rows in [(first, inverse), (first[order], rank[inverse])]:
+            for got, want in zip(converge_many(states, w, rows), expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_rows_that_do_not_group_the_states_are_refused(self):
+        states = all_states(3)
+        w = hebbian_learn([[1, 0, 1]])
+        first, inverse = hopfield.distinct_rows(states)
+        for rows in [(first, inverse[:-1]), (first[::-1], inverse)]:
+            with pytest.raises(hopfield.NetworkError):
+                converge_many(states, w, rows)
+
     def test_fields_beyond_float64_are_refused(self):
         w = np.array([[0, 2**52, 2**52], [2**52, 0, 0], [2**52, 0, 0]], dtype=np.int64)
         with pytest.raises(hopfield.NetworkError):

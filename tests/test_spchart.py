@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,118 @@ def charts_of_width(draw, n, max_students=12):
 @st.composite
 def charts(draw, max_students=12, max_problems=10):
     return draw(charts_of_width(draw(st.integers(1, max_problems)), max_students))
+
+
+def reference_parse(data):
+    """Per-cell parser: the oracle ``parse_chart`` is checked against."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise spchart.ChartError(f"input is not valid UTF-8: {exc}") from exc
+    rows = [
+        [cell.strip() for cell in record]
+        for record in csv.reader(io.StringIO(data))
+        if record and any(cell.strip() for cell in record)
+    ]
+    if not rows:
+        raise EmptyInput()
+    has_header = any(not spchart._is_numeric(tok) for tok in rows[0][1:])
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise EmptyInput()
+    has_labels = any(not spchart._is_numeric(r[0]) for r in data_rows if r)
+    width = len(data_rows[0]) - (1 if has_labels else 0)
+    if width < 1:
+        raise EmptyInput()
+    student_ids = [] if has_labels else None
+    bits = np.zeros((len(data_rows), width), dtype=np.int8)
+    row_offset = 2 if has_header else 1
+    col_offset = 2 if has_labels else 1
+    for r, record in enumerate(data_rows):
+        cells = record[1:] if has_labels else record
+        if len(cells) != width:
+            raise RaggedRows(width, len(cells), row=r + row_offset)
+        if has_labels:
+            student_ids.append(record[0])
+        for c, tok in enumerate(cells):
+            if tok == "0":
+                continue
+            if tok == "1":
+                bits[r, c] = 1
+            else:
+                raise NonBinaryCell(r + row_offset, c + col_offset, tok)
+    problem_ids = None
+    if has_header:
+        header = rows[0]
+        if has_labels and len(header) == width + 1:
+            header = header[1:]
+        if len(header) != width:
+            raise RaggedRows(width, len(header), row=1)
+        problem_ids = header
+    return spchart._make_chart(bits, student_ids, problem_ids)
+
+
+# "\x1c" is whitespace to str.strip but not to float()
+PAD = st.sampled_from(["", "", "", " ", "  ", "\t", "\u3000", "\x1c"])
+GOOD = st.sampled_from(["0", "1"])
+BAD = st.sampled_from(["2", "10", "", "1 1", "01", "x", "é", "\uff11", "-1", "1.0"])
+LABEL = st.sampled_from(["S1", "S2", "id", "Ålice", "学生", "a,b", 'q"1', "3", "", "  ", "x y"])
+
+
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the accepted layouts: optional header and label
+    column, padded and quoted cells, blank rows, and a few bad tokens and
+    ragged rows."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.booleans())
+    labels = draw(st.booleans())
+    lines = []
+
+    def cell(strategy):
+        text = draw(PAD) + draw(strategy) + draw(PAD)
+        return quoted(text) if draw(st.integers(0, 5)) == 0 or "," in text else text
+
+    if header:
+        corner = [cell(LABEL)] if labels and draw(st.booleans()) else []
+        lines.append(corner + [cell(LABEL) for _ in range(width)])
+    for _ in range(draw(st.integers(0, 5))):
+        row = [cell(LABEL)] if labels else []
+        row += [cell(BAD if draw(st.integers(0, 9)) == 0 else GOOD) for _ in range(width)]
+        ragged = draw(st.integers(-1, 1)) if draw(st.integers(0, 7)) == 0 else 0
+        lines.append(row[: len(row) + ragged] if ragged < 0 else row + [cell(GOOD)] * ragged)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from([[""], [" "], ["", ""], [" \t", ""]])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(",".join(line) for line in lines) + draw(st.sampled_from(["", newline]))
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: the chart, or the error it raises."""
+    try:
+        return parse(text)
+    except spchart.ChartError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+
+
+class TestParseAgainstReference:
+    @settings(deadline=None, max_examples=400)
+    @given(csv_texts())
+    def test_near_valid_csv(self, text):
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(spchart.parse_chart, text) == expected
+        assert parse_outcome(spchart.parse_chart, text.encode()) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.text(alphabet='01,\n "\tab2é', max_size=40))
+    def test_any_text(self, text):
+        assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
 
 
 class TestParse:
@@ -203,6 +318,12 @@ class TestClassify:
     def test_custom_thresholds(self):
         chart = chart_of([[1, 1], [1, 0]])  # mean 0.75
         assert spchart.classify_type(chart, drill_threshold=0.8) is ChartType.TEST
+
+    def test_rate_thresholds(self):
+        assert spchart.classify_rate(0.65) is ChartType.DRILL
+        assert spchart.classify_rate(0.5) is ChartType.TEST
+        assert spchart.classify_rate(0.35) is ChartType.PRETEST
+        assert spchart.classify_rate(0.4, pretest_threshold=0.4) is ChartType.PRETEST
 
 
 REFERENCE_ROWS = [
