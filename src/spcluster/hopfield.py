@@ -66,7 +66,7 @@ def _as_state(v) -> np.ndarray:
 def bipolar_from_binary(v) -> np.ndarray:
     """Map a 0/1 vector to -1/+1 component-wise."""
     b = np.asarray(v)
-    if not np.isin(b, (0, 1)).all():
+    if not ((b == 0) | (b == 1)).all():
         raise NetworkError("binary vector entries must all be 0 or 1")
     return (2 * b.astype(np.int8) - 1).astype(np.int8)
 
@@ -74,7 +74,7 @@ def bipolar_from_binary(v) -> np.ndarray:
 def binary_from_bipolar(x) -> np.ndarray:
     """Inverse of ``bipolar_from_binary``: +1 -> 1, -1 -> 0."""
     s = np.asarray(x)
-    if not np.isin(s, (-1, 1)).all():
+    if not ((s == -1) | (s == 1)).all():
         raise NetworkError("bipolar vector entries must all be -1 or +1")
     return ((s + 1) // 2).astype(np.int8)
 
@@ -89,7 +89,7 @@ def hebbian_learn(patterns) -> np.ndarray:
     p = np.asarray(patterns)
     if p.ndim != 2 or p.shape[0] < 1:
         raise NetworkError("patterns must form a non-empty M x N matrix")
-    if not np.isin(p, (0, 1)).all():
+    if not ((p == 0) | (p == 1)).all():
         raise NetworkError("patterns must be binary")
     b = (2 * p.astype(np.int64) - 1)
     w = b.T @ b

@@ -1,14 +1,14 @@
 """Versioned JSON report documents for clustering runs.
 
-Reports are plain dicts built in a fixed key order and serialized with
-``json.dumps``; identical inputs and parameters therefore produce
-byte-identical files.
+Reports are plain dicts built in a fixed key order and serialized as
+``json.dumps(doc, indent=2)`` would; identical inputs and parameters
+therefore produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import spchart
 from .clustering import Clustering, TrialReport, TrialSummary
@@ -132,4 +132,68 @@ def build_baseline_report(
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    With an indent, ``json`` encodes in pure Python, one generator step
+    per value.  Here each list of strings (such as a cluster's student
+    ids) is quoted by the C ``encode_basestring_ascii`` that ``json``
+    uses and written with one join, and all pieces are joined once at
+    the end.  Dict keys must be strings.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(..., indent=2)`` writes it when
+    nested at the indent that ``newline``, a line end and spaces, starts."""
+    if not isinstance(value, (list, tuple, dict)):
+        out.append(_scalar(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)))
+        except TypeError:  # not all strings
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+        out.append(newline + "]")
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class RaggedRows(ChartError):
         super().__init__(f"ragged rows{where}: expected {expected} cells, found {found}")
 
 
+class UnreadableCsv(ChartError):
+    """``csv.reader`` refused the input, at a 1-based physical line."""
+
+    def __init__(self, line: int, reason: str) -> None:
+        self.line = line
+        super().__init__(f"unreadable CSV at line {line}: {reason}")
+
+
 class LengthMismatch(ChartError):
     def __init__(self, expected: int, found: int) -> None:
         self.expected = expected
@@ -81,7 +89,7 @@ class SPChart:
         raw = np.asarray(self.bits)
         if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
             raise ChartError("chart must be a 2-D matrix with at least one row and column")
-        if not np.isin(raw, (0, 1)).all():  # validate before the int8 cast truncates
+        if not ((raw == 0) | (raw == 1)).all():  # validate before the int8 cast truncates
             raise ChartError("chart entries must all be 0 or 1")
         bits = raw.astype(np.int8)
         if len(self.student_ids) != bits.shape[0]:
@@ -147,24 +155,85 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
-def _binary_cells(rows: list[list[str]], skip: int, width: int) -> np.ndarray | None:
-    """The cells after the first ``skip`` of every row as a bit matrix.
+# A row is blank when it holds only commas and these, the characters
+# str.isspace() accepts (a test checks the list against the Unicode table).
+_BLANK = (
+    ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
 
-    Returns None unless every row holds ``skip + width`` cells and each
-    of those is exactly "0" or "1".  The cells are joined with a
-    separator, so that a cell such as "10" or "" breaks the alternating
-    digit/separator pattern instead of passing for two cells or none.
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The non-blank lines of ``text``, or None if ``csv.reader`` must read it.
+
+    Text with no quote, carriage return or NUL, and no line longer than
+    ``csv.field_size_limit()``, is read by ``csv.reader`` as one record
+    per "\\n"-separated line, split at every comma and nowhere else.  The
+    text is split on "\\n" alone: ``str.splitlines`` would also break at
+    characters such as "\\x0b", "\\x85" and "\\u2028", which the reader
+    keeps inside a cell.
     """
-    if set(map(len, rows)) != {skip + width}:
+    if '"' in text or "\r" in text or "\x00" in text:
         return None
-    text = ",".join(chain.from_iterable(islice(r, skip, None) for r in rows))
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return [line for line in lines if line.strip(_BLANK)]
+
+
+def _csv_records(text: str) -> list[list[str]]:
+    """The non-blank records ``csv.reader`` reads from ``text``."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [record for record in reader if "".join(record).strip()]
+    except csv.Error as exc:  # an over-long field, a bare CR, NUL before Python 3.11
+        raise UnreadableCsv(reader.line_num, str(exc)) from exc
+
+
+def _line_bits(lines: list[str], skip: int, width: int) -> np.ndarray | None:
+    """The last ``width`` cells of every line as a bit matrix, or None.
+
+    Returns None unless each line is ``width`` cells of exactly "0" or "1"
+    separated by commas, preceded, when ``skip`` is 1, by one label cell
+    without a comma.  One pass over the encoded lines checks the 2 *
+    ``width`` bytes before each line end: a separator (the previous line
+    end without a label, a comma with one), then digits alternating with
+    commas.  A line too short for its window takes the previous line end
+    into it and fails; a ragged or padded one misplaces a comma or digit;
+    and the comma count rules out commas in labels.
+    """
+    text = "\n" + "\n".join(lines) + "\n"
     codes = np.frombuffer(text.encode(), dtype=np.uint8)
-    if codes.size != 2 * len(rows) * width - 1 or (codes[1::2] != ord(",")).any():
+    ends = np.flatnonzero(codes == ord("\n"))[1:]
+    span = 2 * width
+    if ends.size != len(lines) or ends[0] < span:
         return None
-    bits = codes[::2] - ord("0")  # anything but "0" and "1" wraps past 1
+    if np.count_nonzero(codes == ord(",")) != len(lines) * (width - 1 + skip):
+        return None
+    window = np.lib.stride_tricks.sliding_window_view(codes, span)[ends - span]
+    if (window[:, 0] != ord("," if skip else "\n")).any():
+        return None
+    if (window[:, 2::2] != ord(",")).any():
+        return None
+    bits = window[:, 1::2] - ord("0")  # anything but "0" and "1" wraps past 1
     if (bits > 1).any():
         return None
-    return bits.reshape(len(rows), width)
+    return bits
+
+
+def _record_bits(records: list[list[str]], skip: int, width: int) -> np.ndarray | None:
+    """The cells after the first ``skip`` of every record as a bit matrix.
+
+    Returns None unless every record holds ``skip + width`` cells and each
+    of those is exactly "0" or "1".  The data cells of each record are
+    joined with commas into one line for ``_line_bits``; with the cell
+    count fixed, a cell holding a comma or line end adds a separator
+    that its count or window check rejects.
+    """
+    if set(map(len, records)) != {skip + width}:
+        return None
+    return _line_bits([",".join(islice(r, skip, None)) for r in records], 0, width)
 
 
 def _raise_first_bad_cell(
@@ -190,39 +259,55 @@ def parse_chart(data: str | bytes) -> SPChart:
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
     are generated as S1..SL and P1..PN.  Cells may be padded with
     whitespace; rows of only whitespace are skipped.
+
+    Text that ``csv.reader`` would split at every comma and line end is
+    split with ``str.split`` (``_plain_lines``).  Quoted text, CR line
+    ends, NUL and lines longer than ``csv.field_size_limit()`` go through
+    ``csv.reader``, and what it refuses raises ``UnreadableCsv``.  Both
+    give the same rows.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ChartError(f"input is not valid UTF-8: {exc}") from exc
-    rows = [record for record in csv.reader(io.StringIO(data)) if "".join(record).strip()]
+    lines = _plain_lines(data)
+    split = lines is not None  # rows are lines, not csv records
+    rows = lines if split else _csv_records(data)
     if not rows:
         raise EmptyInput()
 
     # a non-numeric token in the first cell alone is explained by a label
     # column, so only tokens beyond position 0 mark the row as a header
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in (rows[0].split(",") if split else rows[0])]
     has_header = any(not _is_numeric(tok) for tok in header[1:])
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise EmptyInput()
-    has_labels = any(not _is_numeric(r[0].strip()) for r in data_rows)
+    firsts = (r.partition(",")[0] for r in data_rows) if split else (r[0] for r in data_rows)
+    has_labels = any(not _is_numeric(cell.strip()) for cell in firsts)
     skip = 1 if has_labels else 0
 
-    width = len(data_rows[0]) - skip
+    width = (data_rows[0].count(",") + 1 if split else len(data_rows[0])) - skip
     if width < 1:
         raise EmptyInput()
 
-    # cells are almost always bare digits; strip them only when that fails
-    bits = _binary_cells(data_rows, skip, width)
-    if bits is None:
-        data_rows = [[cell.strip() for cell in r] for r in data_rows]
-        bits = _binary_cells(data_rows, skip, width)
-    if bits is None:
-        _raise_first_bad_cell(data_rows, skip, width, row_offset=2 if has_header else 1)
+    bits = _line_bits(data_rows, skip, width) if split else None
+    if bits is not None:
+        cut = -2 * width  # each label precedes the data bytes _line_bits checked
+        student_ids = [r[:cut].strip() for r in data_rows] if has_labels else None
+    else:
+        if split:  # a padded or bad cell: go on cell by cell
+            data_rows = [r.split(",") for r in data_rows]
+        # cells are almost always bare digits; strip them only when that fails
+        bits = _record_bits(data_rows, skip, width)
+        if bits is None:
+            data_rows = [[cell.strip() for cell in r] for r in data_rows]
+            bits = _record_bits(data_rows, skip, width)
+        if bits is None:
+            _raise_first_bad_cell(data_rows, skip, width, row_offset=2 if has_header else 1)
+        student_ids = [r[0].strip() for r in data_rows] if has_labels else None
 
-    student_ids = [r[0].strip() for r in data_rows] if has_labels else None
     problem_ids: list[str] | None = None
     if has_header:
         if has_labels and len(header) == width + 1:

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -170,6 +171,15 @@ class TestCluster:
         assert "row 1, column 2" in capsys.readouterr().err
         assert run_cli(["cluster", "--input", str(tmp_path / "missing.csv"),
                         "--output", str(tmp_path / "r.json")]) == 1
+
+    def test_unreadable_csv_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("id,P1\n" + "S" * (csv.field_size_limit() + 1) + ",1\n")
+        assert run_cli(["cluster", "--input", str(bad), "--output",
+                        str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input: unreadable CSV at line 2: ")
+        assert err.count("\n") == 1
 
     def test_bad_workers_variable_exits_two(self, generated_chart, tmp_path, monkeypatch):
         monkeypatch.setenv("SPCLUSTER_WORKERS", "lots")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcluster import hopfield
+from spcluster import hopfield, spchart
 from spcluster.hopfield import (
     NonzeroDiagonal,
     NotSymmetric,
@@ -81,6 +81,48 @@ class TestBipolar:
             bipolar_from_binary([0, 2])
         with pytest.raises(hopfield.NetworkError):
             binary_from_bipolar([1, 0])
+
+
+ENTRY_VALUES = [
+    np.array([0, 1]),
+    np.array([0, 2]),
+    np.array([-1, 1]),
+    np.array([255, 1], dtype=np.uint8),
+    np.array([0.0, 1.0]),
+    np.array([-1.0, 1.0]),
+    np.array([0.5, 1.0]),
+    np.array([np.nan, 1.0]),
+    np.array([True, False]),
+    np.array([0, 1], dtype=object),
+    np.array([-1, 1], dtype=object),
+    np.array([0, "1"], dtype=object),
+    np.array([None, 1], dtype=object),
+    np.array(["0", "1"]),
+    np.array([], dtype=float),
+]
+
+
+def accepts(check, values, error):
+    try:
+        check(values)
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("values", ENTRY_VALUES, ids=lambda v: f"{v.dtype}{v.tolist()}")
+def test_entry_checks_accept_exactly_what_isin_accepts(values):
+    """Binary and bipolar checks accept the same arrays that np.isin does."""
+    binary = bool(np.isin(values, (0, 1)).all())
+    bipolar = bool(np.isin(values, (-1, 1)).all())
+    row = values.reshape(1, -1)
+    assert accepts(bipolar_from_binary, values, hopfield.NetworkError) == binary
+    assert accepts(binary_from_bipolar, values, hopfield.NetworkError) == bipolar
+    assert accepts(hebbian_learn, row, hopfield.NetworkError) == binary
+    ids = tuple(f"P{j + 1}" for j in range(values.size))
+    assert accepts(
+        lambda bits: spchart.SPChart(bits, ("S1",), ids), row, spchart.ChartError
+    ) == (binary and values.size > 0)
 
 
 class TestHebbianLearn:

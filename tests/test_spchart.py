@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spcluster import spchart
+from spcluster.datagen import GenSpec, generate_chart
 from spcluster.spchart import (
     ChartType,
     EmptyInput,
@@ -47,9 +49,14 @@ def reference_parse(data):
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise spchart.ChartError(f"input is not valid UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(data))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise spchart.UnreadableCsv(reader.line_num, str(exc)) from exc
     rows = [
         [cell.strip() for cell in record]
-        for record in csv.reader(io.StringIO(data))
+        for record in records
         if record and any(cell.strip() for cell in record)
     ]
     if not rows:
@@ -90,11 +97,18 @@ def reference_parse(data):
     return spchart._make_chart(bits, student_ids, problem_ids)
 
 
-# "\x1c" is whitespace to str.strip but not to float()
-PAD = st.sampled_from(["", "", "", " ", "  ", "\t", "\u3000", "\x1c"])
+# "\x1c" is whitespace to str.strip but not to float(); "\x0b", "\x0c",
+# "\x1c", "\x85" and "\u2028" end a line for str.splitlines but not for
+# csv.reader
+PAD = st.sampled_from(
+    ["", "", "", " ", "  ", "\t", "\u3000", "\x1c", "\x0b", "\x0c", "\x85", "\u2028"]
+)
 GOOD = st.sampled_from(["0", "1"])
-BAD = st.sampled_from(["2", "10", "", "1 1", "01", "x", "é", "\uff11", "-1", "1.0"])
-LABEL = st.sampled_from(["S1", "S2", "id", "Ålice", "学生", "a,b", 'q"1', "3", "", "  ", "x y"])
+BAD = st.sampled_from(["2", "10", "", "1 1", "01", "x", "é", "\uff11", "-1", "1.0", "\x00"])
+LABEL = st.sampled_from(
+    ["S1", "S2", "id", "Ålice", "学生", "a,b", 'q"1', "3", "", "  ", "x y",
+     "a\x85b", "c\u2028d", "e\x0bf", "\x0c", "n\x00l"]
+)
 
 
 def quoted(cell):
@@ -125,8 +139,9 @@ def csv_texts(draw):
         lines.append(row[: len(row) + ragged] if ragged < 0 else row + [cell(GOOD)] * ragged)
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
-        lines.insert(at, draw(st.sampled_from([[""], [" "], ["", ""], [" \t", ""]])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        blank = [[""], [" "], ["", ""], ["", "", ""], [" ", " "], [" \t", ""], ["\x85", "\u3000"]]
+        lines.insert(at, draw(st.sampled_from(blank)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(",".join(line) for line in lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -147,9 +162,63 @@ class TestParseAgainstReference:
         assert parse_outcome(spchart.parse_chart, text.encode()) == expected
 
     @settings(deadline=None, max_examples=300)
-    @given(st.text(alphabet='01,\n "\tab2é', max_size=40))
+    @given(st.text(alphabet='01,\n "\tab2é\r\x00\x0b\x85\u2028', max_size=40))
     def test_any_text(self, text):
         assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,P1,P2\nS1,0,1\nS2,1,0,1\n",  # a row with one cell too many before its data
+            "S1,0,1\n0,1\n",  # a line shorter than its label and data
+            "0,1\n1,0,1\n",
+            "0,1\n1\n",
+            "x,0,1\n,0,1\n",  # an empty label
+            "0,1\n\n , \n,,\n1,0",  # blank rows and no final newline
+            'id,P1,P2\nS1,0,1\nS2,"0,1"\n',  # a quoted comma in place of two cells
+            'id,P1\nS1,"0\n1"\n',  # a quoted line end in place of two rows
+            "a\x85b,1\nc\u2028d,0\ne\x0bf,1\n\x0c,0\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
+
+    def test_field_size_limit(self):
+        limit = csv.field_size_limit()
+        over = [
+            "id,P1\nS1," + "1" * (limit + 1) + "\n",  # an over-long data cell
+            "id,P1\n" + "S" * (limit + 1) + ",1\n",  # an over-long label
+        ]
+        at_limit = [
+            "id,P1\n" + "S" * limit + ",1\n",
+            ",".join("1" * (limit // 2 + 1)),  # a line over the limit, of short cells
+        ]
+        for text in over:
+            expected = parse_outcome(reference_parse, text)
+            assert expected[0] is spchart.UnreadableCsv
+            assert parse_outcome(spchart.parse_chart, text) == expected
+        for text in at_limit:
+            assert spchart.parse_chart(text) == reference_parse(text)
+
+    def test_blank_characters_are_whitespace_and_comma(self):
+        whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert set(spchart._BLANK) == whitespace | {","}
+
+    def test_csv_reader_reads_only_quoted_cr_and_nul_input(self, monkeypatch):
+        calls = []
+        real = spchart._csv_records
+        monkeypatch.setattr(spchart, "_csv_records", lambda text: calls.append(text) or real(text))
+        for kind in ChartType:
+            text = spchart.chart_to_csv(generate_chart(GenSpec(kind, 40, 6, seed=3)))
+            chart = spchart.parse_chart(text)
+            assert calls == []
+            for other in (text.replace("\n", "\r\n"), text.replace("S1,", '"S1",'),
+                          text + "\x00\n"):
+                outcome = parse_outcome(spchart.parse_chart, other)
+                assert calls.pop() == other
+                assert outcome == parse_outcome(reference_parse, other)
+            assert parse_outcome(spchart.parse_chart, text.replace("\n", "\r\n")) == chart
+            calls.clear()
 
 
 class TestParse:
