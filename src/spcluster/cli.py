@@ -109,8 +109,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         )
 
     result = clustering.score_baseline(chart, args.clusters)
-    f1_value = clustering.f1(result, args.clusters)
-    f2_value = clustering.f2(result)
+    f1_value = clustering.f1(result.sizes(), args.clusters)
+    f2_value = clustering.f2(result.gammas())
     parameters = {
         "clusters": args.clusters,
         "trials": None,

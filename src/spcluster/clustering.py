@@ -67,24 +67,10 @@ class Clustering:
         return [c.gamma for c in self.clusters]
 
 
-@dataclass(frozen=True, eq=False)
-class _Scores:
-    """A trial's clusters reduced to what ``f1`` and ``f2`` read."""
-
-    cluster_sizes: list[int]
-    cluster_gammas: list[float]
-
-    def sizes(self) -> list[int]:
-        return self.cluster_sizes
-
-    def gammas(self) -> list[float]:
-        return self.cluster_gammas
-
-
 @dataclass(frozen=True)
 class TrialSummary:
     trial_index: int
-    seed: int
+    seed: int | None  # None for the score baseline
     f1: float
     f2: float
     n_clusters: int
@@ -95,7 +81,7 @@ class TrialReport:
     clustering: Clustering
     f1: float
     f2: float
-    seed: int
+    seed: int | None  # None for the score baseline
     trial_index: int
     sweeps_histogram: dict[int, int]
 
@@ -153,45 +139,42 @@ def _prepare(chart: SPChart) -> _ChartRows:
     return _ChartRows(chart, states, first, inverse, mult, weighted)
 
 
-def _relax(rows: _ChartRows, reps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal states of the distinct rows under the network storing
-    ``reps``, and the sweeps every student took."""
+def _gammas(rows: np.ndarray, spans, sizes) -> list[float]:
+    """Gammas of consecutive runs of ``rows`` with the given lengths,
+    where run k's rows sum to the column counts of ``sizes[k]`` students."""
+    starts = np.cumsum(spans) - spans
+    counts = np.add.reduceat(rows, starts, axis=0, dtype=np.int64)
+    return spchart.caution_from_counts(counts, sizes)
+
+
+def _trial(
+    rows: _ChartRows, reps: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, list[int], list[float], np.ndarray]:
+    """Relax every student under the network storing ``reps`` and group
+    the students by terminal state.
+
+    Returns each distinct row's cluster label, each cluster's terminal
+    state, size and gamma, and the sweeps every student took.  Sizes and
+    column counts weight each distinct row by how many students hold it.
+    The rows are in order of first occurrence over student index, so
+    numbering clusters by their first row numbers them by first discovery
+    over student index.
+    """
     w = hopfield.hebbian_learn(rows.chart.bits[list(reps)])
     terminal, sweeps, _ = hopfield.converge_many(rows.states, w, (rows.first, rows.inverse))
-    return terminal[rows.first], sweeps
-
-
-def _label(terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct row's cluster, and each cluster's terminal state.
-
-    Rows sharing a terminal state share a cluster.  The rows are in order
-    of first occurrence over student index, so numbering clusters by
-    their first row numbers them by first discovery over student index.
-    """
-    first, labels = _first_seen(*hopfield.distinct_rows(terminal))
-    return labels, terminal[first]
-
-
-def _score(rows: _ChartRows, labels: np.ndarray) -> _Scores:
-    """Cluster sizes and gammas from the distinct rows' labels alone."""
+    first, labels = _first_seen(*hopfield.distinct_rows(terminal[rows.first]))
     sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
-    spans = np.bincount(labels)
     by_cluster = rows.weighted[np.argsort(labels, kind="stable")]
-    counts = np.add.reduceat(by_cluster, np.cumsum(spans) - spans, axis=0, dtype=np.int64)
-    return _Scores(sizes.tolist(), spchart.caution_from_counts(counts, sizes))
+    gammas = _gammas(by_cluster, np.bincount(labels), sizes)
+    return labels, terminal[rows.first[first]], sizes.tolist(), gammas, sweeps
 
 
-def _clusters(
-    chart: SPChart, members: np.ndarray, sizes: np.ndarray, fixed_points
-) -> tuple[Cluster, ...]:
-    """Consecutive runs of ``members`` with the given non-zero sizes, as
-    clusters scored from their column counts."""
-    starts = np.cumsum(sizes) - sizes
-    counts = np.add.reduceat(chart.bits[members], starts, axis=0, dtype=np.int64)
-    gammas = spchart.caution_from_counts(counts, sizes)
+def _clusters(members: np.ndarray, sizes, fixed_points, gammas) -> tuple[Cluster, ...]:
+    """Consecutive runs of ``members`` with the given non-zero sizes."""
+    parts = np.split(members, np.cumsum(sizes)[:-1])
     return tuple(
         Cluster(member_indices=tuple(part.tolist()), fixed_point=point, gamma=gamma)
-        for part, point, gamma in zip(np.split(members, starts[1:]), fixed_points, gammas)
+        for part, point, gamma in zip(parts, fixed_points, gammas)
     )
 
 
@@ -203,14 +186,10 @@ def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.
     for i in reps:
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
-    terminal, sweeps = _relax(rows, reps)
-    labels, points = _label(terminal)
-    students = labels[rows.inverse]
+    labels, points, sizes, gammas, sweeps = _trial(rows, reps)
+    members = np.argsort(labels[rows.inverse], kind="stable")
     fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
-    clusters = _clusters(
-        chart, np.argsort(students, kind="stable"), np.bincount(students), fixed_points
-    )
-    return Clustering(clusters, chart, reps), sweeps
+    return Clustering(_clusters(members, sizes, fixed_points, gammas), chart, reps), sweeps
 
 
 def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
@@ -225,15 +204,15 @@ def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
     return clustering
 
 
-def f1(clustering: Clustering | _Scores, m: int) -> float:
-    """Normalized shortfall of the m-th largest cluster from size L/m.
+def f1(sizes, m: int) -> float:
+    """Normalized shortfall of the m-th largest cluster size from L/m.
 
     0 when the m-th largest cluster hits the uniform size exactly, 1 when
     fewer than m clusters exist.  Always in [0, 1].
     """
     if m < 1:
         raise ClusteringError("m must be at least 1")
-    sizes = sorted(clustering.sizes(), reverse=True)
+    sizes = sorted(sizes, reverse=True)
     if not sizes:
         raise EmptyClustering()
     L = sum(sizes)  # the clusters partition the students
@@ -242,9 +221,8 @@ def f1(clustering: Clustering | _Scores, m: int) -> float:
     return (L - m * mth) / L
 
 
-def f2(clustering: Clustering | _Scores) -> float:
-    """Worst (largest) per-cluster average caution index."""
-    gammas = clustering.gammas()
+def f2(gammas) -> float:
+    """Worst (largest) of the per-cluster average caution indices ``gammas``."""
     if not gammas:
         raise EmptyClustering()
     return max(gammas)
@@ -265,21 +243,16 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
     order = np.argsort(-chart.bits.sum(axis=1), kind="stable")
     base, extra = divmod(L, m)
     sizes = base + (np.arange(m) < extra)
-    return Clustering(_clusters(chart, order, sizes, [None] * m), chart, ())
+    gammas = _gammas(chart.bits[order], sizes, sizes)
+    return Clustering(_clusters(order, sizes, [None] * m, gammas), chart, ())
 
 
 def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialSummary:
     seed = trial_seed(master_seed, t)
     reps = select_representatives(rows.chart, m, np.random.default_rng(seed))
-    terminal, _ = _relax(rows, reps)
-    labels, _ = _label(terminal)
-    scores = _score(rows, labels)
+    _, _, sizes, gammas, _ = _trial(rows, reps)
     return TrialSummary(
-        trial_index=t,
-        seed=seed,
-        f1=f1(scores, m),
-        f2=f2(scores),
-        n_clusters=len(scores.cluster_sizes),
+        trial_index=t, seed=seed, f1=f1(sizes, m), f2=f2(gammas), n_clusters=len(sizes)
     )
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ENUMERATION_LIMIT = 20  # 2^N states are materialized
-BASIN_LIMIT = 16
 
 
 class NetworkError(ValueError):
@@ -311,17 +310,3 @@ def enumerate_fixed_points(w: np.ndarray) -> list[np.ndarray]:
             row.flags.writeable = False
             found.append(row)
     return found
-
-
-def basin_map(w: np.ndarray) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map every state (as a bipolar tuple) to its terminal fixed point."""
-    w = check_weights(w)
-    n = w.shape[0]
-    if n > BASIN_LIMIT:
-        raise TooLarge(n, BASIN_LIMIT)
-    states = all_states(n)
-    terminal, _, _ = converge_many(states, w)
-    return {
-        tuple(int(v) for v in src): tuple(int(v) for v in dst)
-        for src, dst in zip(states, terminal)
-    }

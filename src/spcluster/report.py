@@ -102,33 +102,12 @@ def build_baseline_report(
     f1_value: float,
     f2_value: float,
 ) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": "baseline",
-        "input_digest": input_digest(raw_input),
-        "parameters": parameters,
-        "chart": _chart_section(chart),
-        "f1": f1_value,
-        "f2": f2_value,
-        "best_trial": {
-            "trial_index": 0,
-            "seed": None,
-            "f1": f1_value,
-            "f2": f2_value,
-            "representatives": [],
-            "sweeps_histogram": {},
-            "clusters": _clusters_section(clustering),
-        },
-        "trials": [
-            {
-                "trial": 0,
-                "seed": None,
-                "f1": f1_value,
-                "f2": f2_value,
-                "clusters": len(clustering.clusters),
-            }
-        ],
-    }
+    """The cluster report of one trial that has no seed, representatives
+    or relaxation, under the ``baseline`` command."""
+    best = TrialReport(clustering, f1_value, f2_value, None, 0, {})
+    summary = TrialSummary(0, None, f1_value, f2_value, len(clustering.clusters))
+    doc = build_cluster_report(chart, raw_input, parameters, best, [summary])
+    return {**doc, "command": "baseline"}
 
 
 def report_json(doc: dict) -> str:

@@ -184,10 +184,11 @@ def _plain_lines(text: str) -> list[str] | None:
 
 def _csv_records(text: str) -> list[list[str]]:
     """The non-blank records ``csv.reader`` reads from ``text``."""
-    reader = csv.reader(io.StringIO(text))
+    # newline="", as the csv docs advise: records end at LF, CRLF and bare CR
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return [record for record in reader if "".join(record).strip()]
-    except csv.Error as exc:  # an over-long field, a bare CR, NUL before Python 3.11
+    except csv.Error as exc:  # an over-long field, NUL before Python 3.11
         raise UnreadableCsv(reader.line_num, str(exc)) from exc
 
 

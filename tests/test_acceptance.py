@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spcluster import cli, clustering, datagen, hopfield, spchart
-from spcluster.clustering import Cluster, Clustering
 from spcluster.datagen import GenSpec
 from spcluster.reference import (
     REFERENCE_FIXED_POINTS,
@@ -34,16 +33,6 @@ def chart_of(rows):
         tuple(f"S{i+1}" for i in range(bits.shape[0])),
         tuple(f"P{j+1}" for j in range(bits.shape[1])),
     )
-
-
-def synthetic_clustering(sizes, gammas):
-    L = sum(sizes)
-    chart = chart_of(np.zeros((L, 1), dtype=np.int8))
-    clusters, at = [], 0
-    for size, gamma in zip(sizes, gammas):
-        clusters.append(Cluster(tuple(range(at, at + size)), None, gamma))
-        at += size
-    return Clustering(tuple(clusters), chart, ())
 
 
 def test_criterion_1_hebbian_regression():
@@ -135,10 +124,10 @@ def test_criterion_3_convergence_and_energy_descent():
 
 
 def test_criterion_4_metric_regression():
-    a = clustering.f1(synthetic_clustering([28, 26, 23, 23], [0.0] * 4), 4)
-    b = clustering.f2(synthetic_clustering([1] * 4, [0.382, 0.387, 0.392, 0.390]))
-    c = clustering.f1(synthetic_clustering([25, 25, 25, 25], [0.0] * 4), 4)
-    d = clustering.f2(synthetic_clustering([1] * 4, [0.404, 0.454, 0.458, 0.348]))
+    a = clustering.f1([28, 26, 23, 23], 4)
+    b = clustering.f2([0.382, 0.387, 0.392, 0.390])
+    c = clustering.f1([25, 25, 25, 25], 4)
+    d = clustering.f2([0.404, 0.454, 0.458, 0.348])
     ok = abs(a - 0.080) <= 1e-12 and b == 0.392 and c == 0.0 and d == 0.458
     verdict("criterion 4: f1/f2 table regressions", ok, f"f1={a}, f2={b}, f1={c}, f2={d}")
 
@@ -158,17 +147,17 @@ def test_criterion_5_oracle_equivalence():
         result = clustering.rnn_cluster(chart, reps)
         ours = {frozenset(c.member_indices) for c in result.clusters}
 
+        # the oracle relaxes each row with the scalar integer converge
         w = hopfield.hebbian_learn(chart.bits[list(reps)])
-        mapping = hopfield.basin_map(w)
         groups = {}
-        for i, row in enumerate(chart.bits):
-            key = mapping[tuple(hopfield.bipolar_from_binary(row).tolist())]
+        for i, row in enumerate(hopfield.bipolar_from_binary(chart.bits)):
+            key = tuple(hopfield.converge(row, w).fixed_point.tolist())
             groups.setdefault(key, []).append(i)
         oracle = {frozenset(v) for v in groups.values()}
         agree &= ours == oracle
     elapsed = time.perf_counter() - t0
     verdict(
-        "criterion 5: clustering equals the basin-map partition",
+        "criterion 5: clustering equals the scalar-relaxation partition",
         agree and elapsed < 60.0,
         f"50 charts, {elapsed:.1f}s",
     )
@@ -179,7 +168,7 @@ def test_criterion_6_baseline_shape():
     chart = chart_of(rng.integers(0, 2, size=(100, 10)))
     result = clustering.score_baseline(chart, 4)
     sizes = result.sizes()
-    value = clustering.f1(result, 4)
+    value = clustering.f1(sizes, 4)
     verdict(
         "criterion 6: score baseline splits 100 students into four 25s",
         sizes == [25, 25, 25, 25] and value == 0.0,
@@ -243,8 +232,8 @@ def test_criterion_9_invariant_suite():
         result = clustering.rnn_cluster(chart, reps)
         members = sorted(i for c in result.clusters for i in c.member_indices)
         partition_ok &= members == list(range(L)) and all(c.size >= 1 for c in result.clusters)
-        v1 = clustering.f1(result, m)
-        v2 = clustering.f2(result)
+        v1 = clustering.f1(result.sizes(), m)
+        v2 = clustering.f2(result.gammas())
         bounds_ok &= 0.0 <= v1 <= 1.0 and 0.0 <= v2 <= 1.0
 
     caution_ok = True

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from spcluster import clustering, datagen, hopfield, spchart
 from spcluster.clustering import (
-    Cluster,
-    Clustering,
     EmptyClustering,
     MTooLarge,
     f1,
@@ -36,27 +34,13 @@ def random_chart(rng, max_students=40, max_problems=10):
     return chart_of(rng.integers(0, 2, size=(L, N)))
 
 
-def synthetic_clustering(sizes, gammas):
-    """Clustering with given cluster sizes/gammas over a dummy chart."""
-    L = sum(sizes)
-    chart = chart_of(np.zeros((L, 1), dtype=np.int8))
-    clusters = []
-    at = 0
-    for size, gamma in zip(sizes, gammas):
-        clusters.append(
-            Cluster(member_indices=tuple(range(at, at + size)), fixed_point=None, gamma=gamma)
-        )
-        at += size
-    return Clustering(tuple(clusters), chart, ())
-
-
 def partition_by_basin(chart, rep_indices):
-    """Oracle: group students by looking their rows up in the basin map."""
+    """Oracle: group students by the fixed point the scalar ``converge``
+    takes their row to."""
     w = hopfield.hebbian_learn(chart.bits[list(rep_indices)])
-    mapping = hopfield.basin_map(w)
     groups = {}
-    for i, row in enumerate(chart.bits):
-        key = mapping[tuple(hopfield.bipolar_from_binary(row).tolist())]
+    for i, row in enumerate(hopfield.bipolar_from_binary(chart.bits)):
+        key = tuple(hopfield.converge(row, w).fixed_point.tolist())
         groups.setdefault(key, []).append(i)
     return {frozenset(v) for v in groups.values()}
 
@@ -78,11 +62,11 @@ def reference_clusters(chart, rep_indices):
 
 
 def scored_partition(bits, labels):
-    """Clusters the production scoring path builds for a given labelling."""
-    chart = chart_of(bits)
+    """The gammas the production scoring path gives each cluster of a
+    labelling, in label order."""
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
-    return Clustering(clustering._clusters(chart, members, sizes, [None] * sizes.size), chart, ())
+    return clustering._gammas(np.asarray(bits)[members], sizes, sizes)
 
 
 class TestSelectRepresentatives:
@@ -187,20 +171,18 @@ class TestRnnCluster:
         assert [c.fixed_point for c in result.clusters] == [e[1] for e in expected]
         for cluster, (_, _, gamma) in zip(result.clusters, expected):
             assert cluster.gamma == pytest.approx(gamma, rel=0, abs=1e-12)
-        assert f2(result) == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
+        assert f2(result.gammas()) == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
 
 
 class TestCostFunctions:
     def test_f1_table_regression(self):
-        assert f1(synthetic_clustering([28, 26, 23, 23], [0] * 4), 4) == pytest.approx(
-            0.080, abs=1e-12
-        )
+        assert f1([28, 26, 23, 23], 4) == pytest.approx(0.080, abs=1e-12)
 
     def test_f1_uniform_sizes(self):
-        assert f1(synthetic_clustering([25, 25, 25, 25], [0] * 4), 4) == 0.0
+        assert f1([25, 25, 25, 25], 4) == 0.0
 
     def test_f1_fewer_clusters_than_m(self):
-        assert f1(synthetic_clustering([10, 10], [0, 0]), 4) == 1.0
+        assert f1([10, 10], 4) == 1.0
 
     def test_f1_bounds(self):
         rng = np.random.default_rng(11)
@@ -208,28 +190,26 @@ class TestCostFunctions:
             k = int(rng.integers(1, 8))
             sizes = rng.integers(1, 30, size=k).tolist()
             m = int(rng.integers(1, 8))
-            value = f1(synthetic_clustering(sizes, [0.0] * k), m)
+            value = f1(sizes, m)
             assert 0.0 <= value <= 1.0
 
     def test_f2_table_regressions(self):
-        assert f2(synthetic_clustering([1] * 4, [0.382, 0.387, 0.392, 0.390])) == 0.392
-        assert f2(synthetic_clustering([1] * 4, [0.404, 0.454, 0.458, 0.348])) == 0.458
+        assert f2([0.382, 0.387, 0.392, 0.390]) == 0.392
+        assert f2([0.404, 0.454, 0.458, 0.348]) == 0.458
 
     def test_f2_homogeneous_clusters(self):
         chart = chart_of([[1, 0, 1]] * 4 + [[0, 1, 0]] * 4)
         result = rnn_cluster(chart, [0, 4])
-        assert f2(result) == 0.0
+        assert f2(result.gammas()) == 0.0
 
     def test_f2_empty(self):
-        chart = chart_of([[1]])
         with pytest.raises(EmptyClustering):
-            f2(Clustering((), chart, ()))
+            f2([])
 
     def test_f1_empty(self):
         # f1 takes L from the cluster sizes, so no clusters is an error too
-        chart = chart_of([[1]])
         with pytest.raises(EmptyClustering):
-            f1(Clustering((), chart, ()), 1)
+            f1([], 1)
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 2**32 - 1))
@@ -249,7 +229,7 @@ class TestCostFunctions:
         order = rng.permutation(L)
         a = scored_partition(bits, labels)
         b = scored_partition(other[order], labels[order])
-        assert sorted(c.gamma for c in a.clusters) == sorted(c.gamma for c in b.clusters)
+        assert sorted(a) == sorted(b)
         assert f2(a) == f2(b)
 
     @pytest.mark.parametrize(
@@ -262,20 +242,20 @@ class TestCostFunctions:
     )
     def test_a_quarter_is_exactly_a_quarter(self, rows):
         bits = np.array(rows)
-        result = scored_partition(bits, np.zeros(len(rows), dtype=int))
-        assert result.clusters[0].gamma == 0.25
+        assert scored_partition(bits, np.zeros(len(rows), dtype=int)) == [0.25]
         assert spchart.average_caution(chart_of(bits)) == 0.25
 
 
 class TestTrialScoring:
     """Trials score labels of the chart's distinct rows, weighted by how
-    many students hold each; ``rnn_cluster`` builds every member list and
-    scores from member rows, so it is the reference for each trial."""
+    many students hold each, and the winner is rebuilt from the same
+    labels; the dict-grouping ``reference_clusters`` is the reference for
+    both."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(list(spchart.ChartType)), st.integers(1, 80), st.integers(1, 70),
            st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_each_trial_matches_rnn_cluster(self, chart_type, students, problems, m, seed):
+    def test_each_trial_matches_the_reference(self, chart_type, students, problems, m, seed):
         # drill charts over few problems repeat most rows; past 62
         # problems rows are compared whole instead of by packed keys
         chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
@@ -283,19 +263,26 @@ class TestTrialScoring:
         best, summaries = run_trials(chart, m, 4, master_seed=seed)
         for s in summaries:
             reps = select_representatives(chart, m, np.random.default_rng(s.seed))
-            reference = rnn_cluster(chart, reps)
-            assert (s.f1, s.f2, s.n_clusters) == (f1(reference, m), f2(reference), len(reference.clusters))
-        assert (best.f1, best.f2) == (f1(best.clustering, m), f2(best.clustering))
+            expected = reference_clusters(chart, reps)
+            assert (s.f1, s.n_clusters) == (f1([len(e[0]) for e in expected], m), len(expected))
+            assert s.f2 == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
+        expected = reference_clusters(chart, best.clustering.representatives)
+        clusters = best.clustering.clusters
+        assert [c.member_indices for c in clusters] == [e[0] for e in expected]
+        assert [c.fixed_point for c in clusters] == [e[1] for e in expected]
+        assert best.clustering.gammas() == pytest.approx([e[2] for e in expected], rel=0, abs=1e-12)
+        assert (best.f1, best.f2) == (f1(best.clustering.sizes(), m), f2(best.clustering.gammas()))
 
     def test_repeated_rows_are_weighted(self):
         # three copies of one row and one other row: unweighted rows would
         # give two clusters of one student each
         chart = chart_of([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0]])
         _, summaries = run_trials(chart, 2, 1, master_seed=0)
-        reference = rnn_cluster(chart, select_representatives(
-            chart, 2, np.random.default_rng(summaries[0].seed)))
-        assert reference.sizes() == [3, 1]
-        assert (summaries[0].f1, summaries[0].f2) == (f1(reference, 2), f2(reference))
+        reps = select_representatives(chart, 2, np.random.default_rng(summaries[0].seed))
+        expected = reference_clusters(chart, reps)
+        assert [len(e[0]) for e in expected] == [3, 1]
+        assert summaries[0].f1 == f1([3, 1], 2)
+        assert summaries[0].f2 == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
 
 
 class TestScoreBaseline:
@@ -304,7 +291,7 @@ class TestScoreBaseline:
         chart = chart_of(rng.integers(0, 2, size=(100, 10)))
         result = score_baseline(chart, 4)
         assert result.sizes() == [25, 25, 25, 25]
-        assert f1(result, 4) == 0.0
+        assert f1(result.sizes(), 4) == 0.0
         assert all(c.fixed_point is None for c in result.clusters)
 
     def test_singletons_in_score_order(self):

