@@ -4,12 +4,13 @@ Subcommands: ``cluster`` (random-restart attractor clustering),
 ``baseline`` (score-quantile split), ``inspect`` (rearranged chart with
 curves), ``generate`` (synthetic charts), and ``fixture`` (built-in
 regression check).  Exit codes: 0 ok, 1 input/parse error, 2 invalid
-parameters, 4 fixture check failed.
+parameters, 4 fixture check failed, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,118 +22,103 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PARAMS = 2
 EXIT_FIXTURE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Ends a command: ``main`` prints ``error: <message>`` and returns the code."""
 
 
-def _read_chart(path: str) -> tuple[bytes, spchart.SPChart]:
-    raw = Path(path).read_bytes()
-    return raw, spchart.parse_chart(raw)
+def _load_chart(path: str, clusters: int = 1) -> tuple[bytes, spchart.SPChart]:
+    """The raw bytes and parsed chart at ``path``, which must hold at least
+    ``clusters`` students."""
+    try:
+        raw = Path(path).read_bytes()
+        chart = spchart.parse_chart(raw)
+    except (OSError, spchart.ChartError) as exc:
+        raise _Failure(EXIT_PARSE, f"--input: {exc}") from exc
+    if clusters > chart.num_students:
+        raise _Failure(
+            EXIT_PARAMS,
+            f"--clusters: cannot make {clusters} clusters from {chart.num_students} students",
+        )
+    return raw, chart
 
 
-def _print_summary(clusters: list[dict], f1_value: float, f2_value: float) -> None:
-    labels = [c["label"] for c in clusters]
-    print("Cluster " + "".join(f"{label:>8}" for label in labels))
-    print("Students" + "".join(f"{c['size']:>8}" for c in clusters))
-    print("Caution " + "".join(f"{c['gamma']:>8.3f}" for c in clusters))
-    print(f"f1 = {f1_value:.3f}  f2 = {f2_value:.3f}")
-
-
-def _emit_cluster_charts(doc: dict, chart: spchart.SPChart, out_dir: str) -> None:
+def _emit_cluster_charts(result: clustering.Clustering, out_dir: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    by_id = {sid: i for i, sid in enumerate(chart.student_ids)}
-    for k, entry in enumerate(doc["best_trial"]["clusters"], start=1):
-        sub = spchart.take_rows(chart, [by_id[s] for s in entry["student_ids"]])
-        rc = spchart.rearrange(sub)
+    for k, cluster in enumerate(result.clusters, start=1):
+        rc = spchart.rearrange(spchart.take_rows(result.chart, cluster.member_indices))
         (directory / f"cluster_{k:02d}.csv").write_text(spchart.chart_to_csv(rc.chart))
         (directory / f"cluster_{k:02d}.svg").write_text(render.render_svg(rc))
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    if args.clusters < 1:
-        return _fail(EXIT_PARAMS, "--clusters must be at least 1")
-    if args.trials < 1:
-        return _fail(EXIT_PARAMS, "--trials must be at least 1")
-    if args.seed < 0:
-        return _fail(EXIT_PARAMS, "--seed must be non-negative")
-    try:
-        workers = clustering.workers_from_env()
-    except ValueError as exc:
-        return _fail(EXIT_PARAMS, str(exc))
-    try:
-        raw, chart = _read_chart(args.input)
-    except (OSError, spchart.ChartError) as exc:
-        return _fail(EXIT_PARSE, f"--input: {exc}")
-    if args.clusters > chart.num_students:
-        return _fail(
-            EXIT_PARAMS,
-            f"--clusters: cannot make {args.clusters} clusters from {chart.num_students} students",
-        )
-
-    best, summaries = clustering.run_trials(
-        chart, args.clusters, args.trials, args.seed, workers=workers
-    )
-
+def _write_report(
+    args: argparse.Namespace,
+    raw: bytes,
+    parameters: dict,
+    best: clustering.TrialReport,
+    summaries: list[clustering.TrialSummary],
+    emit_dir: str | None = None,
+) -> int:
+    """Write the report (and the per-cluster charts into ``emit_dir``), then
+    print the winner's table."""
     parameters = {
-        "clusters": args.clusters,
-        "trials": args.trials,
-        "seed": args.seed,
+        **parameters,
         "drill_threshold": spchart.DRILL_THRESHOLD,
         "pretest_threshold": spchart.PRETEST_THRESHOLD,
     }
-    doc = report.build_cluster_report(chart, raw, parameters, best, summaries)
+    doc = report.build_cluster_report(args.command, raw, parameters, best, summaries)
     try:
         Path(args.output).write_text(report.report_json(doc))
-        if args.emit_charts:
-            _emit_cluster_charts(doc, chart, args.emit_charts)
+        if emit_dir:
+            _emit_cluster_charts(best.clustering, emit_dir)
     except OSError as exc:
-        return _fail(EXIT_PARAMS, f"--output/--emit-charts: {exc}")
-    _print_summary(doc["best_trial"]["clusters"], best.f1, best.f2)
+        flags = "--output/--emit-charts" if emit_dir else "--output"
+        raise _Failure(EXIT_PARAMS, f"{flags}: {exc}") from exc
+    clusters = doc["best_trial"]["clusters"]
+    print("Cluster " + "".join(f"{c['label']:>8}" for c in clusters))
+    print("Students" + "".join(f"{c['size']:>8}" for c in clusters))
+    print("Caution " + "".join(f"{c['gamma']:>8.3f}" for c in clusters))
+    print(f"f1 = {best.summary.f1:.3f}  f2 = {best.summary.f2:.3f}")
     return EXIT_OK
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
+    if args.clusters < 1:
+        raise _Failure(EXIT_PARAMS, "--clusters must be at least 1")
+    if args.trials < 1:
+        raise _Failure(EXIT_PARAMS, "--trials must be at least 1")
+    if args.seed < 0:
+        raise _Failure(EXIT_PARAMS, "--seed must be non-negative")
+    try:
+        workers = clustering.workers_from_env()
+    except ValueError as exc:
+        raise _Failure(EXIT_PARAMS, str(exc)) from exc
+    raw, chart = _load_chart(args.input, args.clusters)
+    best, summaries = clustering.run_trials(
+        chart, args.clusters, args.trials, args.seed, workers=workers
+    )
+    parameters = {"clusters": args.clusters, "trials": args.trials, "seed": args.seed}
+    return _write_report(args, raw, parameters, best, summaries, args.emit_charts)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     if args.clusters < 1:
-        return _fail(EXIT_PARAMS, "--clusters must be at least 1")
-    try:
-        raw, chart = _read_chart(args.input)
-    except (OSError, spchart.ChartError) as exc:
-        return _fail(EXIT_PARSE, f"--input: {exc}")
-    if args.clusters > chart.num_students:
-        return _fail(
-            EXIT_PARAMS,
-            f"--clusters: cannot make {args.clusters} clusters from {chart.num_students} students",
-        )
-
+        raise _Failure(EXIT_PARAMS, "--clusters must be at least 1")
+    raw, chart = _load_chart(args.input, args.clusters)
     result = clustering.score_baseline(chart, args.clusters)
-    f1_value = clustering.f1(result.sizes(), args.clusters)
-    f2_value = clustering.f2(result.gammas())
-    parameters = {
-        "clusters": args.clusters,
-        "trials": None,
-        "seed": None,
-        "drill_threshold": spchart.DRILL_THRESHOLD,
-        "pretest_threshold": spchart.PRETEST_THRESHOLD,
-    }
-    doc = report.build_baseline_report(chart, raw, parameters, result, f1_value, f2_value)
-    try:
-        Path(args.output).write_text(report.report_json(doc))
-    except OSError as exc:
-        return _fail(EXIT_PARAMS, f"--output: {exc}")
-    _print_summary(doc["best_trial"]["clusters"], f1_value, f2_value)
-    return EXIT_OK
+    # one trial, with no seed, representatives or relaxation
+    f1, f2 = clustering.f1(result.sizes(), args.clusters), clustering.f2(result.gammas())
+    summary = clustering.TrialSummary(0, None, f1, f2, len(result.clusters))
+    best = clustering.TrialReport(summary, result, {})
+    parameters = {"clusters": args.clusters, "trials": None, "seed": None}
+    return _write_report(args, raw, parameters, best, [summary])
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        _, chart = _read_chart(args.input)
-    except (OSError, spchart.ChartError) as exc:
-        return _fail(EXIT_PARSE, f"--input: {exc}")
-
+    _, chart = _load_chart(args.input)
     rc = spchart.rearrange(chart)
     rendering = render.render_text(rc) if args.format == "txt" else render.render_svg(rc)
     print(f"students: {chart.num_students}  problems: {chart.num_problems}")
@@ -144,7 +130,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         try:
             Path(args.output).write_text(rendering)
         except OSError as exc:
-            return _fail(EXIT_PARAMS, f"--output: {exc}")
+            raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
     else:
         print(rendering, end="")
     return EXIT_OK
@@ -152,13 +138,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.students < 1:
-        return _fail(EXIT_PARAMS, "--students must be at least 1")
+        raise _Failure(EXIT_PARAMS, "--students must be at least 1")
     if args.problems < 1:
-        return _fail(EXIT_PARAMS, "--problems must be at least 1")
+        raise _Failure(EXIT_PARAMS, "--problems must be at least 1")
     if args.seed < 0:
-        return _fail(EXIT_PARAMS, "--seed must be non-negative")
+        raise _Failure(EXIT_PARAMS, "--seed must be non-negative")
     if not 0.0 <= args.noise <= 0.5:
-        return _fail(EXIT_PARAMS, "--noise must be in [0, 0.5]")
+        raise _Failure(EXIT_PARAMS, "--noise must be in [0, 0.5]")
     spec = datagen.GenSpec(
         chart_type=spchart.ChartType(args.type),
         students=args.students,
@@ -170,7 +156,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         Path(args.output).write_text(spchart.chart_to_csv(chart))
     except OSError as exc:
-        return _fail(EXIT_PARAMS, f"--output: {exc}")
+        raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
     return EXIT_OK
 
 
@@ -239,7 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except _Failure as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that flushing it at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

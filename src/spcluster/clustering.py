@@ -78,11 +78,10 @@ class TrialSummary:
 
 @dataclass(frozen=True, eq=False)
 class TrialReport:
+    """The winning trial in full: its summary, clustering and sweeps histogram."""
+
+    summary: TrialSummary
     clustering: Clustering
-    f1: float
-    f2: float
-    seed: int | None  # None for the score baseline
-    trial_index: int
     sweeps_histogram: dict[int, int]
 
 
@@ -283,15 +282,14 @@ def run_trials(
     master_seed: int,
     *,
     workers: int | None = None,
-    objective: str = "f2",
 ) -> tuple[TrialReport, list[TrialSummary]]:
     """Run independent clustering trials and return the best one.
 
     Trial t is seeded from (master_seed, t), so the outcome is identical
     for any worker count or execution order.  The best trial minimizes f2
-    with f1 as tie-break (or the reverse with ``objective="f1"``), then
-    the lowest trial index.  Every trial yields a clustering: relaxation
-    provably settles (``hopfield.sweep_bound``), so no trial can fail.
+    with f1 as tie-break, then the lowest trial index.  Every trial yields
+    a clustering: relaxation provably settles (``hopfield.sweep_bound``),
+    so no trial can fail.
     """
     if trials < 1:
         raise ClusteringError("need at least one trial")
@@ -299,8 +297,6 @@ def run_trials(
         raise ClusteringError("need at least one cluster")
     if m > chart.num_students:
         raise MTooLarge(m, chart.num_students)
-    if objective not in ("f2", "f1"):
-        raise ClusteringError(f"unknown objective {objective!r}")
 
     rows = _prepare(chart)
     if workers is None:
@@ -320,23 +316,11 @@ def run_trials(
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             summaries = [s for part in pool.map(_trial_chunk, jobs) for s in part]
 
-    if objective == "f2":
-        best_summary = min(summaries, key=lambda s: (s.f2, s.f1, s.trial_index))
-    else:
-        best_summary = min(summaries, key=lambda s: (s.f1, s.f2, s.trial_index))
+    best = min(summaries, key=lambda s: (s.f2, s.f1, s.trial_index))
 
     # rebuild the winning trial in full: member lists and convergence statistics
-    rng = np.random.default_rng(best_summary.seed)
-    reps = select_representatives(chart, m, rng)
+    reps = select_representatives(chart, m, np.random.default_rng(best.seed))
     clustering, sweeps = _cluster_with_sweeps(rows, reps)
     values, counts = np.unique(sweeps, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}
-    report = TrialReport(
-        clustering=clustering,
-        f1=best_summary.f1,
-        f2=best_summary.f2,
-        seed=best_summary.seed,
-        trial_index=best_summary.trial_index,
-        sweeps_histogram=histogram,
-    )
-    return report, summaries
+    return TrialReport(best, clustering, histogram), summaries

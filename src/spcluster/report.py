@@ -54,25 +54,27 @@ def _chart_section(chart: SPChart) -> dict:
 
 
 def build_cluster_report(
-    chart: SPChart,
+    command: str,
     raw_input: bytes,
     parameters: dict,
     best: TrialReport,
     summaries: list[TrialSummary],
 ) -> dict:
+    chart = best.clustering.chart
+    won = best.summary
     return {
         "format_version": FORMAT_VERSION,
-        "command": "cluster",
+        "command": command,
         "input_digest": input_digest(raw_input),
         "parameters": parameters,
         "chart": _chart_section(chart),
-        "f1": best.f1,
-        "f2": best.f2,
+        "f1": won.f1,
+        "f2": won.f2,
         "best_trial": {
-            "trial_index": best.trial_index,
-            "seed": best.seed,
-            "f1": best.f1,
-            "f2": best.f2,
+            "trial_index": won.trial_index,
+            "seed": won.seed,
+            "f1": won.f1,
+            "f2": won.f2,
             "representatives": [
                 chart.student_ids[i] for i in best.clustering.representatives
             ],
@@ -92,22 +94,6 @@ def build_cluster_report(
             for s in summaries
         ],
     }
-
-
-def build_baseline_report(
-    chart: SPChart,
-    raw_input: bytes,
-    parameters: dict,
-    clustering: Clustering,
-    f1_value: float,
-    f2_value: float,
-) -> dict:
-    """The cluster report of one trial that has no seed, representatives
-    or relaxation, under the ``baseline`` command."""
-    best = TrialReport(clustering, f1_value, f2_value, None, 0, {})
-    summary = TrialSummary(0, None, f1_value, f2_value, len(clustering.clusters))
-    doc = build_cluster_report(chart, raw_input, parameters, best, [summary])
-    return {**doc, "command": "baseline"}
 
 
 def report_json(doc: dict) -> str:

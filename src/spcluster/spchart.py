@@ -259,7 +259,8 @@ def parse_chart(data: str | bytes) -> SPChart:
     so purely numeric labels are not supported: a numeric cell that is
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
     are generated as S1..SL and P1..PN.  Cells may be padded with
-    whitespace; rows of only whitespace are skipped.
+    whitespace; rows of only whitespace are skipped.  One leading byte
+    order mark (U+FEFF) is ignored.
 
     Text that ``csv.reader`` would split at every comma and line end is
     split with ``str.split`` (``_plain_lines``).  Quoted text, CR line
@@ -272,6 +273,7 @@ def parse_chart(data: str | bytes) -> SPChart:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ChartError(f"input is not valid UTF-8: {exc}") from exc
+    data = data.removeprefix("\ufeff")  # a byte order mark, as "utf-8-sig" drops
     lines = _plain_lines(data)
     split = lines is not None  # rows are lines, not csv records
     rows = lines if split else _csv_records(data)
@@ -386,27 +388,22 @@ def correct_rates(chart: SPChart) -> np.ndarray:
     return chart.bits.mean(axis=0)
 
 
-def classify_rate(
-    rate: float,
-    *,
-    drill_threshold: float = DRILL_THRESHOLD,
-    pretest_threshold: float = PRETEST_THRESHOLD,
-) -> ChartType:
+def classify_rate(rate: float) -> ChartType:
     """Classify a mean correct rate over all cells of a chart.
 
-    Drill when the mean is at or above ``drill_threshold``, pre-test when
-    at or below ``pretest_threshold``, test otherwise.
+    Drill when the mean is at or above ``DRILL_THRESHOLD``, pre-test when
+    at or below ``PRETEST_THRESHOLD``, test otherwise.
     """
-    if rate >= drill_threshold:
+    if rate >= DRILL_THRESHOLD:
         return ChartType.DRILL
-    if rate <= pretest_threshold:
+    if rate <= PRETEST_THRESHOLD:
         return ChartType.PRETEST
     return ChartType.TEST
 
 
-def classify_type(chart: SPChart, **thresholds: float) -> ChartType:
+def classify_type(chart: SPChart) -> ChartType:
     """Classify by the mean correct rate over all cells (``classify_rate``)."""
-    return classify_rate(float(chart.bits.mean()), **thresholds)
+    return classify_rate(float(chart.bits.mean()))
 
 
 def caution_index(row, rates) -> float:

@@ -184,7 +184,7 @@ def test_criterion_7_trials_beat_whole_chart_caution():
         chart = datagen.generate_chart(GenSpec(ChartType.TEST, 100, 10, seed=9000 + k))
         whole = spchart.average_caution(chart)
         best, _ = clustering.run_trials(chart, 4, 1000, master_seed=424_200 + k)
-        wins += best.f2 <= whole
+        wins += best.summary.f2 <= whole
     elapsed = time.perf_counter() - t0
     verdict(
         "criterion 7: best-of-1000 f2 beats whole-chart caution on >=80% of charts",

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spcluster import cli, render, spchart
+import spcluster
+from spcluster import cli, datagen, render, spchart
 from spcluster.spchart import SPChart
 
 
@@ -263,6 +268,24 @@ class TestInspect:
         assert run_cli(["inspect", "--input", str(path), "--output", str(a)]) == 0
         assert run_cli(["inspect", "--input", str(path), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # far more output than a pipe buffers, so writing fails once the reader is gone
+        chart = datagen.generate_chart(datagen.GenSpec(spchart.ChartType.TEST, 20000, 6, seed=1))
+        path = tmp_path / "big.csv"
+        path.write_text(spchart.chart_to_csv(chart))
+        src = str(Path(spcluster.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        # with PYTHONUNBUFFERED set, a write cut short by the closed pipe loses its rest silently
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen(
+            [sys.executable, "-m", "spcluster.cli", "inspect", "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"students: 20000  problems: 6\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
 
     def test_svg(self, tmp_path):
         path = write_chart(tmp_path, [[0, 1], [1, 1]])

@@ -271,7 +271,9 @@ class TestTrialScoring:
         assert [c.member_indices for c in clusters] == [e[0] for e in expected]
         assert [c.fixed_point for c in clusters] == [e[1] for e in expected]
         assert best.clustering.gammas() == pytest.approx([e[2] for e in expected], rel=0, abs=1e-12)
-        assert (best.f1, best.f2) == (f1(best.clustering.sizes(), m), f2(best.clustering.gammas()))
+        assert (best.summary.f1, best.summary.f2) == (
+            f1(best.clustering.sizes(), m), f2(best.clustering.gammas())
+        )
 
     def test_repeated_rows_are_weighted(self):
         # three copies of one row and one other row: unweighted rows would
@@ -327,9 +329,7 @@ class TestRunTrials:
         chart = random_chart(rng, max_students=20)
         best, summaries = run_trials(chart, 2, 1, master_seed=5)
         assert len(summaries) == 1
-        assert best.trial_index == 0
-        assert best.f1 == summaries[0].f1
-        assert best.f2 == summaries[0].f2
+        assert best.summary == summaries[0]
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(4)
@@ -337,12 +337,7 @@ class TestRunTrials:
         a_best, a_all = run_trials(chart, 3, 40, master_seed=9)
         b_best, b_all = run_trials(chart, 3, 40, master_seed=9)
         assert a_all == b_all
-        assert (a_best.trial_index, a_best.seed, a_best.f1, a_best.f2) == (
-            b_best.trial_index,
-            b_best.seed,
-            b_best.f1,
-            b_best.f2,
-        )
+        assert a_best.summary == b_best.summary
         assert a_best.sweeps_histogram == b_best.sweeps_histogram
 
     def test_worker_count_does_not_change_results(self):
@@ -351,20 +346,14 @@ class TestRunTrials:
         seq_best, seq_all = run_trials(chart, 3, 30, master_seed=1, workers=1)
         par_best, par_all = run_trials(chart, 3, 30, master_seed=1, workers=3)
         assert seq_all == par_all
-        assert seq_best.trial_index == par_best.trial_index
+        assert seq_best.summary == par_best.summary
         assert seq_best.sweeps_histogram == par_best.sweeps_histogram
 
     def test_best_minimizes_f2_over_summaries(self):
         rng = np.random.default_rng(10)
         chart = random_chart(rng, max_students=35)
         best, summaries = run_trials(chart, 3, 60, master_seed=77)
-        assert all(best.f2 <= s.f2 for s in summaries)
-
-    def test_objective_f1(self):
-        rng = np.random.default_rng(12)
-        chart = random_chart(rng, max_students=35)
-        best, summaries = run_trials(chart, 3, 60, master_seed=77, objective="f1")
-        assert all(best.f1 <= s.f1 for s in summaries)
+        assert all(best.summary.f2 <= s.f2 for s in summaries)
 
     def test_histogram_counts_all_students(self):
         rng = np.random.default_rng(14)
@@ -378,8 +367,6 @@ class TestRunTrials:
             run_trials(chart, 2, 0, master_seed=0)
         with pytest.raises(MTooLarge):
             run_trials(chart, 5, 1, master_seed=0)
-        with pytest.raises(clustering.ClusteringError):
-            run_trials(chart, 2, 1, master_seed=0, objective="f3")
 
     def test_kernel_errors_abort_the_run(self, monkeypatch):
         def broken(*args, **kwargs):

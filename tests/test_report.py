@@ -132,3 +132,129 @@ def test_baseline_report_bytes(tmp_path):
     assert cli.main(["baseline", "--input", str(chart), "--clusters", "2",
                      "--output", str(out)]) == 0
     assert out.read_text() == BASELINE_REPORT
+
+
+CLUSTER_CHART = (
+    "id,P1,P2,P3,P4,P5\nS1,1,1,0,1,1\nS2,0,1,0,0,0\nS3,1,0,1,1,0\nS4,0,0,0,1,1\n"
+    "S5,1,1,1,1,1\nS6,1,1,0,1,0\nS7,0,0,1,0,0\n"
+)
+CLUSTER_REPORT = """\
+{
+  "format_version": "2",
+  "command": "cluster",
+  "input_digest": "sha256:ef98aa75896e97360537b0b756b96fdce8bfb05aceccfa6f63e0a3b7cb6606d7",
+  "parameters": {
+    "clusters": 2,
+    "trials": 3,
+    "seed": 5,
+    "drill_threshold": 0.65,
+    "pretest_threshold": 0.35
+  },
+  "chart": {
+    "students": 7,
+    "problems": 5,
+    "chart_type": "test",
+    "average_caution": 0.47346938775510206
+  },
+  "f1": 0.42857142857142855,
+  "f2": 0.2,
+  "best_trial": {
+    "trial_index": 2,
+    "seed": 4160164373342109173,
+    "f1": 0.42857142857142855,
+    "f2": 0.2,
+    "representatives": [
+      "S2",
+      "S4"
+    ],
+    "sweeps_histogram": {
+      "1": 2,
+      "2": 5
+    },
+    "clusters": [
+      {
+        "label": "C1",
+        "size": 2,
+        "gamma": 0.2,
+        "fixed_point": "00011",
+        "chart_type": "test",
+        "student_ids": [
+          "S1",
+          "S4"
+        ]
+      },
+      {
+        "label": "C2",
+        "size": 2,
+        "gamma": 0.2,
+        "fixed_point": "01000",
+        "chart_type": "test",
+        "student_ids": [
+          "S2",
+          "S6"
+        ]
+      },
+      {
+        "label": "C3",
+        "size": 2,
+        "gamma": 0.2,
+        "fixed_point": "11100",
+        "chart_type": "test",
+        "student_ids": [
+          "S3",
+          "S7"
+        ]
+      },
+      {
+        "label": "C4",
+        "size": 1,
+        "gamma": 0.0,
+        "fixed_point": "10111",
+        "chart_type": "drill",
+        "student_ids": [
+          "S5"
+        ]
+      }
+    ]
+  },
+  "trials": [
+    {
+      "trial": 0,
+      "seed": 12631478326263854183,
+      "f1": 0.14285714285714285,
+      "f2": 0.35555555555555557,
+      "clusters": 3
+    },
+    {
+      "trial": 1,
+      "seed": 17996766564426832300,
+      "f1": 0.42857142857142855,
+      "f2": 0.4,
+      "clusters": 3
+    },
+    {
+      "trial": 2,
+      "seed": 4160164373342109173,
+      "f1": 0.42857142857142855,
+      "f2": 0.2,
+      "clusters": 4
+    }
+  ]
+}
+"""
+CLUSTER_STDOUT = """\
+Cluster       C1      C2      C3      C4
+Students       2       2       2       1
+Caution    0.200   0.200   0.200   0.000
+f1 = 0.429  f2 = 0.200
+"""
+
+
+def test_cluster_report_bytes(tmp_path, capsys):
+    # the winner is the last of three trials and has more clusters than M
+    chart, out = tmp_path / "chart.csv", tmp_path / "cluster.json"
+    chart.write_text(CLUSTER_CHART)
+    assert cli.main(["cluster", "--input", str(chart), "--clusters", "2", "--trials", "3",
+                     "--seed", "5", "--output", str(out)]) == 0
+    assert out.read_text() == CLUSTER_REPORT
+    assert capsys.readouterr().out == CLUSTER_STDOUT

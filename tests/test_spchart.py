@@ -49,6 +49,7 @@ def reference_parse(data):
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise spchart.ChartError(f"input is not valid UTF-8: {exc}") from exc
+    data = data.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(data, newline=""))
     try:
         records = list(reader)
@@ -142,7 +143,9 @@ def csv_texts(draw):
         blank = [[""], [" "], ["", ""], ["", "", ""], [" ", " "], [" \t", ""], ["\x85", "\u3000"]]
         lines.insert(at, draw(st.sampled_from(blank)))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(",".join(line) for line in lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff", "\ufeff\ufeff"]))
+    end = draw(st.sampled_from(["", newline]))
+    return bom + newline.join(",".join(line) for line in lines) + end
 
 
 def parse_outcome(parse, text):
@@ -225,6 +228,21 @@ class TestParseAgainstReference:
         # classic Mac CSV ends every line with a bare CR
         text = spchart.chart_to_csv(generate_chart(GenSpec(kind, 40, 6, seed=5)))
         assert spchart.parse_chart(text.replace("\n", "\r")) == spchart.parse_chart(text)
+
+    @pytest.mark.parametrize("layout", ["bare", "labels", "header+labels"])
+    @pytest.mark.parametrize("kind", list(ChartType))
+    def test_leading_bom_is_ignored(self, kind, layout):
+        text = spchart.chart_to_csv(generate_chart(GenSpec(kind, 40, 6, seed=7)))
+        rows = text.splitlines(keepends=True)
+        if layout != "header+labels":
+            rows = rows[1:]
+        if layout == "bare":
+            rows = [row.partition(",")[2] for row in rows]
+        text = "".join(rows)
+        chart = spchart.parse_chart(text)
+        for other in ("\ufeff" + text, ("\ufeff" + text).encode()):
+            assert spchart.parse_chart(other) == chart
+            assert reference_parse(other) == chart
 
 
 class TestParse:
@@ -390,15 +408,10 @@ class TestClassify:
         assert spchart.classify_type(drill) is ChartType.DRILL
         assert spchart.classify_type(pretest) is ChartType.PRETEST
 
-    def test_custom_thresholds(self):
-        chart = chart_of([[1, 1], [1, 0]])  # mean 0.75
-        assert spchart.classify_type(chart, drill_threshold=0.8) is ChartType.TEST
-
     def test_rate_thresholds(self):
         assert spchart.classify_rate(0.65) is ChartType.DRILL
         assert spchart.classify_rate(0.5) is ChartType.TEST
         assert spchart.classify_rate(0.35) is ChartType.PRETEST
-        assert spchart.classify_rate(0.4, pretest_threshold=0.4) is ChartType.PRETEST
 
 
 REFERENCE_ROWS = [
