@@ -117,22 +117,35 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return _write_report(args, raw, parameters, best, [summary])
 
 
+def _print_all(text: str) -> None:
+    """Write ``text`` to stdout in full: unbuffered stdout (``python -u``) drops
+    what the file does not take of a write, as when a pipe's reader leaves."""
+    if not hasattr(sys.stdout, "buffer"):  # a text stream, as redirect_stdout sets
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while view:  # the rest is written again, or raises BrokenPipeError
+        view = view[sys.stdout.buffer.write(view) :]
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     _, chart = _load_chart(args.input)
     rc = spchart.rearrange(chart)
     rendering = render.render_text(rc) if args.format == "txt" else render.render_svg(rc)
-    print(f"students: {chart.num_students}  problems: {chart.num_problems}")
-    print(f"chart type: {spchart.classify_type(chart).value}")
-    print(f"average caution: {spchart.average_caution(chart):.6f}")
-    print("S:", " ".join(str(s) for s in rc.s_totals))
-    print("P:", " ".join(str(p) for p in rc.p_totals))
+    summary = (
+        f"students: {chart.num_students}  problems: {chart.num_problems}\n"
+        f"chart type: {spchart.classify_type(chart).value}\n"
+        f"average caution: {spchart.average_caution(chart):.6f}\n"
+        f"S: {' '.join(str(s) for s in rc.s_totals)}\n"
+        f"P: {' '.join(str(p) for p in rc.p_totals)}\n"
+    )
+    _print_all(summary if args.output else summary + rendering)
     if args.output:
         try:
             Path(args.output).write_text(rendering)
         except OSError as exc:
             raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
-    else:
-        print(rendering, end="")
     return EXIT_OK
 
 

@@ -40,12 +40,14 @@ class EmptyClustering(ClusteringError):
 @dataclass(frozen=True)
 class Cluster:
     """One cluster: member row indices, the binary image of the fixed point
-    the members fell into (None for the score baseline), and the average
-    caution index of the members against the cluster's own rates."""
+    the members fell into (None for the score baseline), the average
+    caution index of the members against the cluster's own rates, and
+    their number of 1 cells."""
 
     member_indices: tuple[int, ...]
     fixed_point: tuple[int, ...] | None
     gamma: float
+    correct: int
 
     @property
     def size(self) -> int:
@@ -138,42 +140,42 @@ def _prepare(chart: SPChart) -> _ChartRows:
     return _ChartRows(chart, states, first, inverse, mult, weighted)
 
 
-def _gammas(rows: np.ndarray, spans, sizes) -> list[float]:
-    """Gammas of consecutive runs of ``rows`` with the given lengths,
-    where run k's rows sum to the column counts of ``sizes[k]`` students."""
+def _gammas(rows: np.ndarray, spans, sizes) -> tuple[list[float], list[int]]:
+    """Gammas and 1-cell counts of consecutive runs of ``rows`` with the
+    given lengths, where run k's rows sum to ``sizes[k]`` students' counts."""
     starts = np.cumsum(spans) - spans
     counts = np.add.reduceat(rows, starts, axis=0, dtype=np.int64)
-    return spchart.caution_from_counts(counts, sizes)
+    return spchart.caution_from_counts(counts, sizes), counts.sum(axis=1).tolist()
 
 
 def _trial(
     rows: _ChartRows, reps: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, list[int], list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[int], tuple[list[float], list[int]], np.ndarray]:
     """Relax every student under the network storing ``reps`` and group
     the students by terminal state.
 
     Returns each distinct row's cluster label, each cluster's terminal
-    state, size and gamma, and the sweeps every student took.  Sizes and
-    column counts weight each distinct row by how many students hold it.
-    The rows are in order of first occurrence over student index, so
-    numbering clusters by their first row numbers them by first discovery
-    over student index.
+    state and size, its ``_gammas``, and the sweeps every student took.
+    Sizes and column counts weight each distinct row by how many students
+    hold it.  The rows are in order of first occurrence over student
+    index, so numbering clusters by their first row numbers them by first
+    discovery over student index.
     """
     w = hopfield.hebbian_learn(rows.chart.bits[list(reps)])
     terminal, sweeps, _ = hopfield.converge_many(rows.states, w, (rows.first, rows.inverse))
     first, labels = _first_seen(*hopfield.distinct_rows(terminal[rows.first]))
     sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
     by_cluster = rows.weighted[np.argsort(labels, kind="stable")]
-    gammas = _gammas(by_cluster, np.bincount(labels), sizes)
-    return labels, terminal[rows.first[first]], sizes.tolist(), gammas, sweeps
+    scores = _gammas(by_cluster, np.bincount(labels), sizes)
+    return labels, terminal[rows.first[first]], sizes.tolist(), scores, sweeps
 
 
-def _clusters(members: np.ndarray, sizes, fixed_points, gammas) -> tuple[Cluster, ...]:
+def _clusters(members: np.ndarray, sizes, fixed_points, scores) -> tuple[Cluster, ...]:
     """Consecutive runs of ``members`` with the given non-zero sizes."""
     parts = np.split(members, np.cumsum(sizes)[:-1])
     return tuple(
-        Cluster(member_indices=tuple(part.tolist()), fixed_point=point, gamma=gamma)
-        for part, point, gamma in zip(parts, fixed_points, gammas)
+        Cluster(tuple(part.tolist()), point, gamma, correct)
+        for part, point, gamma, correct in zip(parts, fixed_points, *scores)
     )
 
 
@@ -185,10 +187,10 @@ def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.
     for i in reps:
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
-    labels, points, sizes, gammas, sweeps = _trial(rows, reps)
+    labels, points, sizes, scores, sweeps = _trial(rows, reps)
     members = np.argsort(labels[rows.inverse], kind="stable")
     fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
-    return Clustering(_clusters(members, sizes, fixed_points, gammas), chart, reps), sweeps
+    return Clustering(_clusters(members, sizes, fixed_points, scores), chart, reps), sweeps
 
 
 def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
@@ -242,14 +244,14 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
     order = np.argsort(-chart.bits.sum(axis=1), kind="stable")
     base, extra = divmod(L, m)
     sizes = base + (np.arange(m) < extra)
-    gammas = _gammas(chart.bits[order], sizes, sizes)
-    return Clustering(_clusters(order, sizes, [None] * m, gammas), chart, ())
+    scores = _gammas(chart.bits[order], sizes, sizes)
+    return Clustering(_clusters(order, sizes, [None] * m, scores), chart, ())
 
 
 def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialSummary:
     seed = trial_seed(master_seed, t)
     reps = select_representatives(rows.chart, m, np.random.default_rng(seed))
-    _, _, sizes, gammas, _ = _trial(rows, reps)
+    _, _, sizes, (gammas, _), _ = _trial(rows, reps)
     return TrialSummary(
         trial_index=t, seed=seed, f1=f1(sizes, m), f2=f2(gammas), n_clusters=len(sizes)
     )

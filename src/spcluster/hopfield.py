@@ -197,13 +197,14 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     Returns ``first``, the index of the first occurrence of each distinct
     row (in key order, not row order), and ``inverse``, which maps every
     row to its position in ``first``.  Rows of up to 62 components are
-    keyed by their sign bits packed into one int64; wider rows are
-    compared whole.
+    keyed by their sign bits packed into the narrowest unsigned type, which
+    ``np.unique`` radix-sorts at 8 and 16 bits; wider rows are compared whole.
     """
     x = np.asarray(states)
     n = x.shape[1]
     if n <= 62:
-        keys = (x > 0).astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+        dtype = np.min_scalar_type((1 << n) - 1)
+        keys = (x > 0).astype(dtype) @ (dtype.type(1) << np.arange(n, dtype=dtype))
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     else:
         _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)

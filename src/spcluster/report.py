@@ -11,45 +11,24 @@ import hashlib
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import spchart
-from .clustering import Clustering, TrialReport, TrialSummary
+from .clustering import TrialReport, TrialSummary
 from .spchart import SPChart
 
 FORMAT_VERSION = "2"
-
-
-def input_digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+_TRIAL_KEYS = ("trial", "seed", "f1", "f2", "clusters")  # a row of the trials table
 
 
 def _cluster_entry(chart: SPChart, cluster, label: str) -> dict:
-    rate = float(chart.bits[list(cluster.member_indices)].mean())
+    # an exact ratio, correctly rounded: the float mean of the members' bits
+    rate = cluster.correct / (cluster.size * chart.num_problems)
+    point = cluster.fixed_point
     return {
         "label": label,
         "size": cluster.size,
         "gamma": cluster.gamma,
-        "fixed_point": (
-            "".join(str(b) for b in cluster.fixed_point)
-            if cluster.fixed_point is not None
-            else None
-        ),
+        "fixed_point": None if point is None else "".join(map(str, point)),
         "chart_type": spchart.classify_rate(rate).value,
-        "student_ids": [chart.student_ids[i] for i in cluster.member_indices],
-    }
-
-
-def _clusters_section(clustering: Clustering) -> list[dict]:
-    return [
-        _cluster_entry(clustering.chart, c, f"C{k + 1}")
-        for k, c in enumerate(clustering.clusters)
-    ]
-
-
-def _chart_section(chart: SPChart) -> dict:
-    return {
-        "students": chart.num_students,
-        "problems": chart.num_problems,
-        "chart_type": spchart.classify_type(chart).value,
-        "average_caution": spchart.average_caution(chart),
+        "student_ids": list(map(chart.student_ids.__getitem__, cluster.member_indices)),
     }
 
 
@@ -65,9 +44,14 @@ def build_cluster_report(
     return {
         "format_version": FORMAT_VERSION,
         "command": command,
-        "input_digest": input_digest(raw_input),
+        "input_digest": "sha256:" + hashlib.sha256(raw_input).hexdigest(),
         "parameters": parameters,
-        "chart": _chart_section(chart),
+        "chart": {
+            "students": chart.num_students,
+            "problems": chart.num_problems,
+            "chart_type": spchart.classify_type(chart).value,
+            "average_caution": spchart.average_caution(chart),
+        },
         "f1": won.f1,
         "f2": won.f2,
         "best_trial": {
@@ -81,16 +65,12 @@ def build_cluster_report(
             "sweeps_histogram": {
                 str(k): v for k, v in sorted(best.sweeps_histogram.items())
             },
-            "clusters": _clusters_section(best.clustering),
+            "clusters": [
+                _cluster_entry(chart, c, f"C{k}") for k, c in enumerate(best.clustering.clusters, 1)
+            ],
         },
         "trials": [
-            {
-                "trial": s.trial_index,
-                "seed": s.seed,
-                "f1": s.f1,
-                "f2": s.f2,
-                "clusters": s.n_clusters,
-            }
+            dict(zip(_TRIAL_KEYS, (s.trial_index, s.seed, s.f1, s.f2, s.n_clusters)))
             for s in summaries
         ],
     }
@@ -101,9 +81,10 @@ def report_json(doc: dict) -> str:
 
     With an indent, ``json`` encodes in pure Python, one generator step
     per value.  Here each list of strings (such as a cluster's student
-    ids) is quoted by the C ``encode_basestring_ascii`` that ``json``
-    uses and written with one join, and all pieces are joined once at
-    the end.  Dict keys must be strings.
+    ids) is quoted once, by the C ``encode_basestring_ascii`` that
+    ``json`` uses, and written with one join; each row of the ``trials``
+    table is written by one format string; and all pieces are joined
+    once at the end.  Dict keys must be strings.
     """
     out: list[str] = []
     _write(doc, "\n", out)
@@ -131,15 +112,50 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     else:
         inner = newline + "  "
-        try:
-            out.append("[" + inner + ("," + inner).join(map(_quote, value)))
-        except TypeError:  # not all strings
+        joined = _joined(value, "," + inner)
+        if joined is not None:
+            out.append("[" + inner + joined)
+        else:
             sep = "[" + inner
             for item in value:
                 out.append(sep)
                 _write(item, inner, out)
                 sep = "," + inner
         out.append(newline + "]")
+
+
+def _joined(items, sep: str) -> str | None:
+    """The non-empty ``items`` written in one piece and separated by
+    ``sep``, if all are strings or all are rows of the ``trials`` table."""
+    try:
+        text = "".join(items)
+    except TypeError:  # not all strings
+        return _trial_rows(items, sep)
+    # escapes are per character: when the joined text needs none, no item does
+    if len(_quote(text)) == len(text) + 2:
+        return '"' + ('"' + sep + '"').join(items) + '"'
+    return sep.join(map(_quote, items))
+
+
+# TrialSummary's types, which "%d", "%s" and "%r" write as int.__repr__ and float.__repr__ do
+_TRIAL_TYPES = {(int, seed, float, float, int) for seed in (int, type(None))}
+
+
+def _trial_rows(rows, sep: str) -> str | None:
+    """The ``trials`` table, one format string per row, or None unless each
+    row holds ``_TRIAL_KEYS`` in order with ``_TRIAL_TYPES`` and finite floats."""
+    cells = ",".join(f'{sep[1:]}  "{key}": %{conv}' for key, conv in zip(_TRIAL_KEYS, "dsrrd"))
+    row_format = "{" + cells + sep[1:] + "}"
+    written = []
+    for row in rows:
+        values = tuple(row.values()) if type(row) is dict and tuple(row) == _TRIAL_KEYS else ()
+        if tuple(map(type, values)) not in _TRIAL_TYPES:
+            return None
+        trial, seed, f1, f2, clusters = values
+        if not abs(f1) + abs(f2) < _INF:  # a NaN or an infinity, which "%r" writes unlike json
+            return None
+        written.append(row_format % (trial, "null" if seed is None else seed, f1, f2, clusters))
+    return sep.join(written)
 
 
 def _scalar(value) -> str:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -16,6 +17,22 @@ from spcluster.spchart import SPChart
 
 def run_cli(args):
     return cli.main(args)
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most ``k`` bytes per write, as a pipe may."""
+
+    def __init__(self, k):
+        self.k = k
+        self.taken = b""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        part = bytes(data[: self.k])
+        self.taken += part
+        return len(part)
 
 
 def write_chart(tmp_path, rows, name="chart.csv"):
@@ -276,16 +293,32 @@ class TestInspect:
         path.write_text(spchart.chart_to_csv(chart))
         src = str(Path(spcluster.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        # with PYTHONUNBUFFERED set, a write cut short by the closed pipe loses its rest silently
-        env.pop("PYTHONUNBUFFERED", None)
-        with subprocess.Popen(
-            [sys.executable, "-m", "spcluster.cli", "inspect", "--input", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        ) as proc:
-            assert proc.stdout.readline() == b"students: 20000  problems: 6\n"
-            proc.stdout.close()
-            assert proc.stderr.read() == b""
-            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        # buffered stdout, and unbuffered, whose writes a leaving reader can cut short
+        for unbuffered in ("", "1"):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            with subprocess.Popen(
+                [sys.executable, "-m", "spcluster.cli", "inspect", "--input", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            ) as proc:
+                assert proc.stdout.readline() == b"students: 20000  problems: 6\n"
+                proc.stdout.close()
+                assert proc.stderr.read() == b""
+                assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+
+    def test_short_writes_lose_nothing(self, tmp_path, capsys, monkeypatch):
+        path = write_chart(tmp_path, np.random.default_rng(3).integers(0, 2, size=(40, 5)))
+        argv = ["inspect", "--input", str(path)]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        for k in (1, 7, 100):
+            raw = ShortWrites(k)
+            # the text layer of unbuffered stdout writes straight to the raw file
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+            assert run_cli(argv) == 0
+            assert raw.taken == expected.encode()
+        monkeypatch.setattr(sys, "stdout", io.StringIO())  # as contextlib.redirect_stdout sets it
+        assert run_cli(argv) == 0
+        assert sys.stdout.getvalue() == expected
 
     def test_svg(self, tmp_path):
         path = write_chart(tmp_path, [[0, 1], [1, 1]])

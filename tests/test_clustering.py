@@ -66,7 +66,8 @@ def scored_partition(bits, labels):
     labelling, in label order."""
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
-    return clustering._gammas(np.asarray(bits)[members], sizes, sizes)
+    gammas, _ = clustering._gammas(np.asarray(bits)[members], sizes, sizes)
+    return gammas
 
 
 class TestSelectRepresentatives:

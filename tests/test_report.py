@@ -36,6 +36,38 @@ def test_writer_matches_json_dumps(value):
     assert report.report_json(value) == json.dumps(value, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("odd", ["", '"', "\\", "\x07", "\u00e9", "\U0001f600"])
+def test_long_string_lists(odd):
+    # one string that needs an escape makes the writer quote each string alone
+    ids = [f"S{i}" for i in range(5000)]
+    ids[2500] += odd
+    value = {"student_ids": ids, "nested": [ids[:3], tuple(ids)]}
+    assert report.report_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_trials_table_rows():
+    rows = [
+        {"trial": 0, "seed": None, "f1": 0.2, "f2": 1 / 3, "clusters": 2},
+        {"trial": 1, "seed": 2**64 - 1, "f1": 0.0, "f2": 1e-7, "clusters": 16},
+    ]
+    # rows that json.dumps writes unlike %d, %s and %r, or that are not the table's
+    near_misses = [
+        {"trial": True, "seed": 1, "f1": 0.5, "f2": 0.5, "clusters": 2},
+        {"trial": 2, "seed": 1.5, "f1": 0.5, "f2": 0.5, "clusters": 2},
+        {"trial": 2, "seed": 1, "f1": math.nan, "f2": 0.5, "clusters": 2},
+        {"trial": 2, "seed": 1, "f1": 0.5, "f2": -math.inf, "clusters": 2},
+        {"trial": 2, "seed": 1, "f1": 1, "f2": 0.5, "clusters": 2},
+        {"trial": 2, "seed": 1, "f1": 0.5, "f2": 0.5, "clusters": 2.0},
+        {"trial": 2, "seed": "1", "f1": 0.5, "f2": 0.5, "clusters": 2},
+        {"seed": 1, "trial": 2, "f1": 0.5, "f2": 0.5, "clusters": 2},
+        {"trial": 2, "seed": 1, "f1": 0.5, "f2": 0.5},
+        {"trial": 2, "seed": 1, "f1": 0.5, "f2": 0.5, "clusters": 2, "x": 0},
+    ]
+    for table in [rows, *([*rows, row] for row in near_misses)]:
+        value = {"trials": table}
+        assert report.report_json(value) == json.dumps(value, indent=2) + "\n"
+
+
 def test_writer_rejects_what_json_rejects():
     for value in ({"a": {1, 2}}, [b"bytes"], {"a": [object()]}):
         with pytest.raises(TypeError):

@@ -167,7 +167,9 @@ class TestParseAgainstReference:
     @settings(deadline=None, max_examples=300)
     @given(st.text(alphabet='01,\n "\tab2é\r\x00\x0b\x85\u2028', max_size=40))
     def test_any_text(self, text):
-        assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(spchart.parse_chart, text) == expected
+        assert parse_outcome(spchart.parse_chart, text.encode()) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -181,10 +183,23 @@ class TestParseAgainstReference:
             'id,P1,P2\nS1,0,1\nS2,"0,1"\n',  # a quoted comma in place of two cells
             'id,P1\nS1,"0\n1"\n',  # a quoted line end in place of two rows
             "a\x85b,1\nc\u2028d,0\ne\x0bf,1\n\x0c,0\n",
+            "id,P1,P2\nS1,0,1\nS2,1,0",  # no final newline
+            "\ufeffid,P1\nS1,1\nS2,0\n",  # a byte order mark, which bytes input holds as 3 bytes
+            "\xa0S1,0,1\nS2\u3000,1,0\n\u00e9,1,1\nS4\u00e9,0,0\n\u3000\xa0,1,0\n\u00e9\xa0x,0,1\n",
+            "0,1,1\n1,0,1\n1,1,1\n",  # a bare chart: no header and no label column
+            "S1,0,1\n\u3000\xa0\n\u2028,\u3000\nS2,1,0\n\x85\n",  # blank lines of non-ASCII spaces
+            "S1,0,1\nS2,1,0\n\u3000,\n",
         ],
     )
     def test_edge_cases(self, text):
-        assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(spchart.parse_chart, text) == expected
+        assert parse_outcome(spchart.parse_chart, text.encode()) == expected
+
+    def test_lone_surrogates(self):
+        # a str may hold what UTF-8 cannot encode; csv.reader reads it as any other character
+        for text in ["S\ud800,1\nS2,0\n", "S1,\udfff\nS2,0\n", "id,P\ud800\nS1,1\n"]:
+            assert parse_outcome(spchart.parse_chart, text) == parse_outcome(reference_parse, text)
 
     def test_field_size_limit(self):
         limit = csv.field_size_limit()
@@ -195,13 +210,16 @@ class TestParseAgainstReference:
         at_limit = [
             "id,P1\n" + "S" * limit + ",1\n",
             ",".join("1" * (limit // 2 + 1)),  # a line over the limit, of short cells
+            "id,P1\n" + "\u00e9" * (limit // 2 + 1) + ",1\n",  # over the limit in bytes only
         ]
         for text in over:
             expected = parse_outcome(reference_parse, text)
             assert expected[0] is spchart.UnreadableCsv
             assert parse_outcome(spchart.parse_chart, text) == expected
+            assert parse_outcome(spchart.parse_chart, text.encode()) == expected
         for text in at_limit:
             assert spchart.parse_chart(text) == reference_parse(text)
+            assert spchart.parse_chart(text.encode()) == reference_parse(text)
 
     def test_blank_characters_are_whitespace_and_comma(self):
         whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
