@@ -118,15 +118,19 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _print_all(text: str) -> None:
-    """Write ``text`` to stdout in full: unbuffered stdout (``python -u``) drops
-    what the file does not take of a write, as when a pipe's reader leaves."""
+    """Write ``text`` to stdout in full, each "\n" as ``os.linesep`` as
+    ``print`` writes it: unbuffered stdout (``python -u``) drops what the
+    file does not take of a write, as when a pipe's reader leaves."""
     if not hasattr(sys.stdout, "buffer"):  # a text stream, as redirect_stdout sets
         sys.stdout.write(text)
         return
     sys.stdout.flush()
+    text = text.replace("\n", os.linesep)
     view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while view:  # the rest is written again, or raises BrokenPipeError
-        view = view[sys.stdout.buffer.write(view) :]
+        written = sys.stdout.buffer.write(view)
+        if written is not None:  # None: a non-blocking file would block
+            view = view[written:]
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -82,8 +82,7 @@ def report_json(doc: dict) -> str:
     With an indent, ``json`` encodes in pure Python, one generator step
     per value.  Here each list of strings (such as a cluster's student
     ids) is quoted once, by the C ``encode_basestring_ascii`` that
-    ``json`` uses, and written with one join; each row of the ``trials``
-    table is written by one format string; and all pieces are joined
+    ``json`` uses, and written with one join; all pieces are joined
     once at the end.  Dict keys must be strings.
     """
     out: list[str] = []
@@ -126,36 +125,15 @@ def _write(value, newline: str, out: list[str]) -> None:
 
 def _joined(items, sep: str) -> str | None:
     """The non-empty ``items`` written in one piece and separated by
-    ``sep``, if all are strings or all are rows of the ``trials`` table."""
+    ``sep``, if all are strings."""
     try:
         text = "".join(items)
     except TypeError:  # not all strings
-        return _trial_rows(items, sep)
+        return None
     # escapes are per character: when the joined text needs none, no item does
     if len(_quote(text)) == len(text) + 2:
         return '"' + ('"' + sep + '"').join(items) + '"'
     return sep.join(map(_quote, items))
-
-
-# TrialSummary's types, which "%d", "%s" and "%r" write as int.__repr__ and float.__repr__ do
-_TRIAL_TYPES = {(int, seed, float, float, int) for seed in (int, type(None))}
-
-
-def _trial_rows(rows, sep: str) -> str | None:
-    """The ``trials`` table, one format string per row, or None unless each
-    row holds ``_TRIAL_KEYS`` in order with ``_TRIAL_TYPES`` and finite floats."""
-    cells = ",".join(f'{sep[1:]}  "{key}": %{conv}' for key, conv in zip(_TRIAL_KEYS, "dsrrd"))
-    row_format = "{" + cells + sep[1:] + "}"
-    written = []
-    for row in rows:
-        values = tuple(row.values()) if type(row) is dict and tuple(row) == _TRIAL_KEYS else ()
-        if tuple(map(type, values)) not in _TRIAL_TYPES:
-            return None
-        trial, seed, f1, f2, clusters = values
-        if not abs(f1) + abs(f2) < _INF:  # a NaN or an infinity, which "%r" writes unlike json
-            return None
-        written.append(row_format % (trial, "null" if seed is None else seed, f1, f2, clusters))
-    return sep.join(written)
 
 
 def _scalar(value) -> str:

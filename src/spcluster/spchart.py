@@ -230,9 +230,8 @@ def _labels(codes: np.ndarray, starts: np.ndarray, cuts: np.ndarray) -> list[str
     """Each ``codes[starts[i]:cuts[i]]``, which a comma follows, stripped, or
     None if one holds a comma.  All are gathered, decoded and split at once."""
     sizes = cuts + 1 - starts
-    index = np.min_scalar_type(codes.size)  # narrower than intp: half the traffic
-    base = np.repeat((starts - (np.cumsum(sizes) - sizes)).astype(index), sizes)
-    picked = codes[base + np.arange(base.size, dtype=index)]
+    base = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    picked = codes[base + np.arange(base.size)]
     if np.count_nonzero(picked == ord(",")) != starts.size:
         return None
     labels = _line(picked).split(",")[:-1]

@@ -20,16 +20,22 @@ def run_cli(args):
 
 
 class ShortWrites(io.RawIOBase):
-    """A raw stream that takes at most ``k`` bytes per write, as a pipe may."""
+    """A raw stream that takes at most ``k`` bytes per write, as a pipe may,
+    and every third write nothing, returning None as a non-blocking file
+    does when it would block."""
 
     def __init__(self, k):
         self.k = k
+        self.writes = 0
         self.taken = b""
 
     def writable(self):
         return True
 
     def write(self, data):
+        self.writes += 1
+        if self.writes % 3 == 0:
+            return None
         part = bytes(data[: self.k])
         self.taken += part
         return len(part)
@@ -316,6 +322,12 @@ class TestInspect:
             monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
             assert run_cli(argv) == 0
             assert raw.taken == expected.encode()
+        # line ends are written as print writes them where they are not "\n"
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        raw = ShortWrites(100)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+        assert run_cli(argv) == 0
+        assert raw.taken == expected.replace("\n", "\r\n").encode()
         monkeypatch.setattr(sys, "stdout", io.StringIO())  # as contextlib.redirect_stdout sets it
         assert run_cli(argv) == 0
         assert sys.stdout.getvalue() == expected

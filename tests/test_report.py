@@ -50,7 +50,7 @@ def test_trials_table_rows():
         {"trial": 0, "seed": None, "f1": 0.2, "f2": 1 / 3, "clusters": 2},
         {"trial": 1, "seed": 2**64 - 1, "f1": 0.0, "f2": 1e-7, "clusters": 16},
     ]
-    # rows that json.dumps writes unlike %d, %s and %r, or that are not the table's
+    # rows of other types, float specials, reordered, missing or extra keys
     near_misses = [
         {"trial": True, "seed": 1, "f1": 0.5, "f2": 0.5, "clusters": 2},
         {"trial": 2, "seed": 1.5, "f1": 0.5, "f2": 0.5, "clusters": 2},
