@@ -50,8 +50,9 @@ def _emit_cluster_charts(result: clustering.Clustering, out_dir: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for k, cluster in enumerate(result.clusters, start=1):
         rc = spchart.rearrange(spchart.take_rows(result.chart, cluster.member_indices))
-        (directory / f"cluster_{k:02d}.csv").write_text(spchart.chart_to_csv(rc.chart))
-        (directory / f"cluster_{k:02d}.svg").write_text(render.render_svg(rc))
+        name = f"cluster_{k:02d}"
+        (directory / f"{name}.csv").write_text(spchart.chart_to_csv(rc.chart), encoding="utf-8")
+        (directory / f"{name}.svg").write_text(render.render_svg(rc), encoding="utf-8")
 
 
 def _write_report(
@@ -71,7 +72,7 @@ def _write_report(
     }
     doc = report.build_cluster_report(args.command, raw, parameters, best, summaries)
     try:
-        Path(args.output).write_text(report.report_json(doc))
+        Path(args.output).write_text(report.report_json(doc), encoding="utf-8")
         if emit_dir:
             _emit_cluster_charts(best.clustering, emit_dir)
     except OSError as exc:
@@ -147,7 +148,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     _print_all(summary if args.output else summary + rendering)
     if args.output:
         try:
-            Path(args.output).write_text(rendering)
+            Path(args.output).write_text(rendering, encoding="utf-8")
         except OSError as exc:
             raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
     return EXIT_OK
@@ -171,7 +172,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     chart = datagen.generate_chart(spec)
     try:
-        Path(args.output).write_text(spchart.chart_to_csv(chart))
+        Path(args.output).write_text(spchart.chart_to_csv(chart), encoding="utf-8")
     except OSError as exc:
         raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
     return EXIT_OK

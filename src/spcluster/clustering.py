@@ -121,18 +121,9 @@ class _ChartRows:
     weighted: np.ndarray
 
 
-def _first_seen(first: np.ndarray, inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Renumber the groups of ``hopfield.distinct_rows`` in order of first
-    occurrence."""
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
-
-
 def _prepare(chart: SPChart) -> _ChartRows:
     states = hopfield.bipolar_from_binary(chart.bits)
-    first, inverse = _first_seen(*hopfield.distinct_rows(states))
+    first, inverse = hopfield.distinct_rows(states)
     # no weighted cell exceeds L, so the smallest type holding L will do
     dtype = np.min_scalar_type(chart.num_students)
     mult = np.bincount(inverse).astype(dtype)
@@ -163,7 +154,7 @@ def _trial(
     """
     w = hopfield.hebbian_learn(rows.chart.bits[list(reps)])
     terminal, sweeps, _ = hopfield.converge_many(rows.states, w, (rows.first, rows.inverse))
-    first, labels = _first_seen(*hopfield.distinct_rows(terminal[rows.first]))
+    first, labels = hopfield.distinct_rows(terminal[rows.first])
     sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
     by_cluster = rows.weighted[np.argsort(labels, kind="stable")]
     scores = _gammas(by_cluster, np.bincount(labels), sizes)
@@ -283,7 +274,7 @@ def run_trials(
     trials: int,
     master_seed: int,
     *,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[TrialReport, list[TrialSummary]]:
     """Run independent clustering trials and return the best one.
 
@@ -301,8 +292,6 @@ def run_trials(
         raise MTooLarge(m, chart.num_students)
 
     rows = _prepare(chart)
-    if workers is None:
-        workers = 1
     if workers <= 1 or trials == 1:
         summaries = [_run_one_trial(rows, m, master_seed, t) for t in range(trials)]
     else:

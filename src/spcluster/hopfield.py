@@ -195,8 +195,8 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a +-1 matrix by an exact key.
 
     Returns ``first``, the index of the first occurrence of each distinct
-    row (in key order, not row order), and ``inverse``, which maps every
-    row to its position in ``first``.  Rows of up to 62 components are
+    row in ascending order, and ``inverse``, which maps every row to its
+    position in ``first``.  Rows of up to 62 components are
     keyed by their sign bits packed into the narrowest unsigned type, which
     ``np.unique`` radix-sorts at 8 and 16 bits; wider rows are compared whole.
     """
@@ -208,7 +208,11 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     else:
         _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    # renumber the groups from key order to order of first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.ravel()]
 
 
 def converge_many(

@@ -8,13 +8,15 @@ therefore produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
+from math import isfinite
 
 from . import spchart
 from .clustering import TrialReport, TrialSummary
 from .spchart import SPChart
 
 FORMAT_VERSION = "2"
+_encode = JSONEncoder().encode  # None, bools, NaN, infinities, subclasses
 _TRIAL_KEYS = ("trial", "seed", "f1", "f2", "clusters")  # a row of the trials table
 
 
@@ -91,9 +93,6 @@ def report_json(doc: dict) -> str:
     return "".join(out)
 
 
-_INF = float("inf")
-
-
 def _write(value, newline: str, out: list[str]) -> None:
     """Append ``value`` as ``json.dumps(..., indent=2)`` writes it when
     nested at the indent that ``newline``, a line end and spaces, starts."""
@@ -137,22 +136,10 @@ def _joined(items, sep: str) -> str | None:
 
 
 def _scalar(value) -> str:
+    """``value`` as ``json`` writes it; ``json`` itself writes all but three kinds."""
     if isinstance(value, str):
         return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    kind = type(value)
+    if kind is int or kind is float and isfinite(value):
+        return repr(value)
+    return _encode(value)

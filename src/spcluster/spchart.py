@@ -404,13 +404,6 @@ def rearrange(chart: SPChart) -> RearrangedChart:
     )
 
 
-def curves(rc: RearrangedChart) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The S-curve [(i, S(i))] and P-curve [(P(j), j)], indices 1-based."""
-    s_curve = [(i + 1, s) for i, s in enumerate(rc.s_totals)]
-    p_curve = [(p, j + 1) for j, p in enumerate(rc.p_totals)]
-    return s_curve, p_curve
-
-
 def correct_rates(chart: SPChart) -> np.ndarray:
     """Per-problem correct-answer rate: column sum / number of students.
 

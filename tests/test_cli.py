@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -179,6 +180,43 @@ class TestCluster:
             sub = spchart.parse_chart(path.read_bytes())
             total += sub.num_students
         assert total == 60
+
+    def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
+        ids = ("学生1", "Ålice") + tuple(f"S{i}" for i in range(3, 13))
+        bits = np.random.default_rng(5).integers(0, 2, size=(len(ids), 6)).astype(np.int8)
+        chart = SPChart(bits, ids, tuple(f"P{j}" for j in range(1, 7)))
+        path = tmp_path / "chart.csv"
+        path.write_bytes(spchart.chart_to_csv(chart).encode("utf-8"))
+        src = str(Path(spcluster.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "LC_"))}
+        env.update(
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            PYTHONCOERCECLOCALE="0",
+            LC_ALL="C",
+        )
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-X", "utf8=0", *args],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+
+        probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale still prefers UTF-8 here")
+        out, charts_dir, txt = tmp_path / "r.json", tmp_path / "charts", tmp_path / "c.txt"
+        cluster = run(
+            "-m", "spcluster.cli", "cluster", "--input", str(path), "--clusters", "2",
+            "--trials", "5", "--seed", "1", "--output", str(out), "--emit-charts", str(charts_dir),
+        )
+        assert cluster.returncode == 0, cluster.stderr
+        clusters = json.loads(out.read_bytes())["best_trial"]["clusters"]
+        for k, entry in enumerate(clusters, 1):
+            sub = spchart.parse_chart((charts_dir / f"cluster_{k:02d}.csv").read_bytes())
+            assert sorted(sub.student_ids) == sorted(entry["student_ids"])
+        inspect = run("-m", "spcluster.cli", "inspect", "--input", str(path), "--output", str(txt))
+        assert inspect.returncode == 0, inspect.stderr
+        assert all(i in txt.read_text(encoding="utf-8") for i in ids)
 
     def test_invalid_parameters(self, generated_chart, tmp_path):
         out = str(tmp_path / "r.json")

@@ -1,6 +1,8 @@
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,21 @@ def test_writer_rejects_what_json_rejects():
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             report.report_json(value)
+
+
+def test_int_and_float_subclasses_are_written_as_json_writes_them():
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    floats = [np.float64(x) for x in (0.1, math.nan, math.inf, -math.inf)]
+    value = {"level": Level.HIGH, "floats": floats, "flags": [True, 1, False, None]}
+    assert report.report_json(value) == json.dumps(value, indent=2) + "\n"
+    errors = []
+    for write in (report.report_json, lambda v: json.dumps(v, indent=2)):
+        with pytest.raises(TypeError) as caught:
+            write({"seed": np.int64(1)})
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("kind", ["test", "drill", "pretest"])

@@ -394,24 +394,6 @@ class TestRearrange:
         assert list(rc.p_totals) == sorted(rc.p_totals, reverse=True)
 
 
-class TestCurves:
-    def test_all_correct(self):
-        s_curve, p_curve = spchart.curves(spchart.rearrange(chart_of([[1, 1], [1, 1]])))
-        assert s_curve == [(1, 2), (2, 2)]
-        assert p_curve == [(2, 1), (2, 2)]
-
-    def test_all_wrong(self):
-        s_curve, p_curve = spchart.curves(spchart.rearrange(chart_of([[0, 0]])))
-        assert s_curve == [(1, 0)]
-        assert p_curve == [(0, 1), (0, 2)]
-
-    def test_hand_counted(self):
-        rc = spchart.rearrange(chart_of([[0, 1], [1, 1]]))
-        s_curve, p_curve = spchart.curves(rc)
-        assert s_curve == [(1, 2), (2, 1)]
-        assert p_curve == [(2, 1), (1, 2)]
-
-
 class TestClassify:
     def test_half_rate_is_test(self):
         assert spchart.classify_type(chart_of([[1, 0], [0, 1]])) is ChartType.TEST
