@@ -29,19 +29,13 @@ class _Failure(Exception):
     """Ends a command: ``main`` prints ``error: <message>`` and returns the code."""
 
 
-def _load_chart(path: str, clusters: int = 1) -> tuple[bytes, spchart.SPChart]:
-    """The raw bytes and parsed chart at ``path``, which must hold at least
-    ``clusters`` students."""
+def _load_chart(path: str) -> tuple[bytes, spchart.SPChart]:
+    """The raw bytes and parsed chart at ``path``."""
     try:
         raw = Path(path).read_bytes()
         chart = spchart.parse_chart(raw)
     except (OSError, spchart.ChartError) as exc:
         raise _Failure(EXIT_PARSE, f"--input: {exc}") from exc
-    if clusters > chart.num_students:
-        raise _Failure(
-            EXIT_PARAMS,
-            f"--clusters: cannot make {clusters} clusters from {chart.num_students} students",
-        )
     return raw, chart
 
 
@@ -87,28 +81,16 @@ def _write_report(
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    if args.clusters < 1:
-        raise _Failure(EXIT_PARAMS, "--clusters must be at least 1")
-    if args.trials < 1:
-        raise _Failure(EXIT_PARAMS, "--trials must be at least 1")
-    if args.seed < 0:
-        raise _Failure(EXIT_PARAMS, "--seed must be non-negative")
-    try:
-        workers = clustering.workers_from_env()
-    except ValueError as exc:
-        raise _Failure(EXIT_PARAMS, str(exc)) from exc
-    raw, chart = _load_chart(args.input, args.clusters)
+    raw, chart = _load_chart(args.input)
     best, summaries = clustering.run_trials(
-        chart, args.clusters, args.trials, args.seed, workers=workers
+        chart, args.clusters, args.trials, args.seed, workers=clustering.workers_from_env()
     )
     parameters = {"clusters": args.clusters, "trials": args.trials, "seed": args.seed}
     return _write_report(args, raw, parameters, best, summaries, args.emit_charts)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    if args.clusters < 1:
-        raise _Failure(EXIT_PARAMS, "--clusters must be at least 1")
-    raw, chart = _load_chart(args.input, args.clusters)
+    raw, chart = _load_chart(args.input)
     result = clustering.score_baseline(chart, args.clusters)
     # one trial, with no seed, representatives or relaxation
     f1, f2 = clustering.f1(result.sizes(), args.clusters), clustering.f2(result.gammas())
@@ -127,7 +109,11 @@ def _print_all(text: str) -> None:
         return
     sys.stdout.flush()
     text = text.replace("\n", os.linesep)
-    view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    try:
+        view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    except UnicodeEncodeError as exc:
+        message = f"stdout ({sys.stdout.encoding}) cannot encode the output; use --output"
+        raise _Failure(EXIT_PARAMS, message) from exc
     while view:  # the rest is written again, or raises BrokenPipeError
         written = sys.stdout.buffer.write(view)
         if written is not None:  # None: a non-blocking file would block
@@ -155,21 +141,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.students < 1:
-        raise _Failure(EXIT_PARAMS, "--students must be at least 1")
-    if args.problems < 1:
-        raise _Failure(EXIT_PARAMS, "--problems must be at least 1")
-    if args.seed < 0:
-        raise _Failure(EXIT_PARAMS, "--seed must be non-negative")
-    if not 0.0 <= args.noise <= 0.5:
-        raise _Failure(EXIT_PARAMS, "--noise must be in [0, 0.5]")
-    spec = datagen.GenSpec(
-        chart_type=spchart.ChartType(args.type),
-        students=args.students,
-        problems=args.problems,
-        seed=args.seed,
-        noise=args.noise,
-    )
+    try:
+        spec = datagen.GenSpec(
+            chart_type=spchart.ChartType(args.type),
+            students=args.students,
+            problems=args.problems,
+            seed=args.seed,
+            noise=args.noise,
+        )
+    except ValueError as exc:
+        raise _Failure(EXIT_PARAMS, str(exc)) from exc
     chart = datagen.generate_chart(spec)
     try:
         Path(args.output).write_text(spchart.chart_to_csv(chart), encoding="utf-8")
@@ -250,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         code, message = exc.args
         print(f"error: {message}", file=sys.stderr)
         return code
+    except clustering.ClusteringError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     except BrokenPipeError:
         # the reader closed stdout early; send what is still buffered to
         # devnull so that flushing it at exit cannot fail again

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
+from math import ceil
 
 import numpy as np
 
@@ -29,7 +31,7 @@ class ClusteringError(ValueError):
 
 class MTooLarge(ClusteringError):
     def __init__(self, m: int, limit: int) -> None:
-        super().__init__(f"cannot select {m} representatives from {limit} students")
+        super().__init__(f"cannot make {m} clusters from {limit} students")
 
 
 class EmptyClustering(ClusteringError):
@@ -93,12 +95,16 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _check_m(m: int, students: int) -> None:
+    if m < 1:
+        raise ClusteringError("need at least one cluster")
+    if m > students:
+        raise MTooLarge(m, students)
+
+
 def select_representatives(chart: SPChart, m: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw m distinct student indices uniformly without replacement."""
-    if m < 1:
-        raise ClusteringError("need at least one representative")
-    if m > chart.num_students:
-        raise MTooLarge(m, chart.num_students)
+    _check_m(m, chart.num_students)
     return tuple(int(i) for i in rng.choice(chart.num_students, size=m, replace=False))
 
 
@@ -124,10 +130,8 @@ class _ChartRows:
 def _prepare(chart: SPChart) -> _ChartRows:
     states = hopfield.bipolar_from_binary(chart.bits)
     first, inverse = hopfield.distinct_rows(states)
-    # no weighted cell exceeds L, so the smallest type holding L will do
-    dtype = np.min_scalar_type(chart.num_students)
-    mult = np.bincount(inverse).astype(dtype)
-    weighted = chart.bits[first].astype(dtype) * mult[:, None]
+    mult = np.bincount(inverse)
+    weighted = chart.bits[first] * mult[:, None]
     return _ChartRows(chart, states, first, inverse, mult, weighted)
 
 
@@ -227,11 +231,8 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
     order); the first L mod m groups take one extra student.  Clusters
     carry no fixed point.
     """
-    if m < 1:
-        raise ClusteringError("need at least one cluster")
     L = chart.num_students
-    if m > L:
-        raise MTooLarge(m, L)
+    _check_m(m, L)
     order = np.argsort(-chart.bits.sum(axis=1), kind="stable")
     base, extra = divmod(L, m)
     sizes = base + (np.arange(m) < extra)
@@ -248,12 +249,6 @@ def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialS
     )
 
 
-def _trial_chunk(args) -> list[TrialSummary]:
-    chart, m, master_seed, lo, hi = args
-    rows = _prepare(chart)
-    return [_run_one_trial(rows, m, master_seed, t) for t in range(lo, hi)]
-
-
 def workers_from_env() -> int:
     """Worker count from the SPCLUSTER_WORKERS variable (default 1)."""
     raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
@@ -264,7 +259,7 @@ def workers_from_env() -> int:
     except ValueError:
         count = 0
     if count < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise ClusteringError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
     return count
 
 
@@ -286,26 +281,21 @@ def run_trials(
     """
     if trials < 1:
         raise ClusteringError("need at least one trial")
-    if m < 1:
-        raise ClusteringError("need at least one cluster")
-    if m > chart.num_students:
-        raise MTooLarge(m, chart.num_students)
+    if master_seed < 0:
+        raise ClusteringError("master seed must be non-negative")
+    _check_m(m, chart.num_students)
 
     rows = _prepare(chart)
+    run = partial(_run_one_trial, rows, m, master_seed)
     if workers <= 1 or trials == 1:
-        summaries = [_run_one_trial(rows, m, master_seed, t) for t in range(trials)]
+        summaries = list(map(run, range(trials)))
     else:
         # imported here: it pulls in multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        jobs = [
-            (chart, m, master_seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            summaries = [s for part in pool.map(_trial_chunk, jobs) for s in part]
+        chunk = ceil(trials / workers)
+        with ProcessPoolExecutor(max_workers=ceil(trials / chunk)) as pool:
+            summaries = list(pool.map(run, range(trials), chunksize=chunk))
 
     best = min(summaries, key=lambda s: (s.f2, s.f1, s.trial_index))
 

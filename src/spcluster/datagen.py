@@ -34,6 +34,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.students < 1 or self.problems < 1:
             raise ValueError("need at least one student and one problem")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError("noise must be in [0, 0.5]")
 

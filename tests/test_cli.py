@@ -54,6 +54,41 @@ def write_chart(tmp_path, rows, name="chart.csv"):
     return path
 
 
+def write_non_ascii_chart(tmp_path):
+    """A chart CSV, written as UTF-8, whose first two ids are not ASCII; returns
+    its path and its ids."""
+    ids = ("学生1", "Ålice") + tuple(f"S{i}" for i in range(3, 13))
+    bits = np.random.default_rng(5).integers(0, 2, size=(len(ids), 6)).astype(np.int8)
+    chart = SPChart(bits, ids, tuple(f"P{j}" for j in range(1, 7)))
+    path = tmp_path / "chart.csv"
+    path.write_bytes(spchart.chart_to_csv(chart).encode("utf-8"))
+    return path, ids
+
+
+def ascii_locale_python():
+    """A runner of ``python -X utf8=0 <args>`` in the C locale without locale
+    coercion, so that the child's files and stdout default to ASCII; skips
+    the test where that locale still prefers UTF-8."""
+    src = str(Path(spcluster.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "LC_"))}
+    env.update(
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        PYTHONCOERCECLOCALE="0",
+        LC_ALL="C",
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+    if codecs.lookup(probe.stdout.strip()).name == "utf-8":
+        pytest.skip("the C locale still prefers UTF-8 here")
+    return run
+
+
 @pytest.fixture()
 def generated_chart(tmp_path):
     path = tmp_path / "gen.csv"
@@ -182,28 +217,8 @@ class TestCluster:
         assert total == 60
 
     def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
-        ids = ("学生1", "Ålice") + tuple(f"S{i}" for i in range(3, 13))
-        bits = np.random.default_rng(5).integers(0, 2, size=(len(ids), 6)).astype(np.int8)
-        chart = SPChart(bits, ids, tuple(f"P{j}" for j in range(1, 7)))
-        path = tmp_path / "chart.csv"
-        path.write_bytes(spchart.chart_to_csv(chart).encode("utf-8"))
-        src = str(Path(spcluster.__file__).parents[1])
-        env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHONIO", "LC_"))}
-        env.update(
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            PYTHONCOERCECLOCALE="0",
-            LC_ALL="C",
-        )
-
-        def run(*args):
-            return subprocess.run(
-                [sys.executable, "-X", "utf8=0", *args],
-                env=env, capture_output=True, text=True, timeout=60,
-            )
-
-        probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
-        if codecs.lookup(probe.stdout.strip()).name == "utf-8":
-            pytest.skip("the C locale still prefers UTF-8 here")
+        path, ids = write_non_ascii_chart(tmp_path)
+        run = ascii_locale_python()
         out, charts_dir, txt = tmp_path / "r.json", tmp_path / "charts", tmp_path / "c.txt"
         cluster = run(
             "-m", "spcluster.cli", "cluster", "--input", str(path), "--clusters", "2",
@@ -236,6 +251,10 @@ class TestCluster:
                         str(tmp_path / "r.json")]) == 1
         assert "row 1, column 2" in capsys.readouterr().err
         assert run_cli(["cluster", "--input", str(tmp_path / "missing.csv"),
+                        "--output", str(tmp_path / "r.json")]) == 1
+
+    def test_input_is_read_before_parameters_are_checked(self, tmp_path):
+        assert run_cli(["cluster", "--input", str(tmp_path / "missing.csv"), "--trials", "0",
                         "--output", str(tmp_path / "r.json")]) == 1
 
     def test_unreadable_csv_exits_one(self, tmp_path, capsys):
@@ -370,6 +389,16 @@ class TestInspect:
         assert run_cli(argv) == 0
         assert sys.stdout.getvalue() == expected
 
+    def test_stdout_that_cannot_encode_an_id_exits_two(self, tmp_path):
+        path, _ = write_non_ascii_chart(tmp_path)
+        run = ascii_locale_python()
+        inspect = run("-m", "spcluster.cli", "inspect", "--input", str(path))
+        assert inspect.returncode == 2
+        assert inspect.stdout == ""
+        assert inspect.stderr.startswith("error: stdout (")
+        assert inspect.stderr.endswith("; use --output\n")
+        assert inspect.stderr.count("\n") == 1
+
     def test_svg(self, tmp_path):
         path = write_chart(tmp_path, [[0, 1], [1, 1]])
         out = tmp_path / "chart.svg"
@@ -379,6 +408,32 @@ class TestInspect:
         assert svg.startswith("<svg ")
         assert svg.count("<polyline") == 2
         assert svg.count("<rect") == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--type", "test", "--students", "0", "--problems", "5",
+         "--output", "{tmp}/x.csv"],
+        ["generate", "--type", "test", "--students", "5", "--problems", "0",
+         "--output", "{tmp}/x.csv"],
+        ["generate", "--type", "test", "--students", "5", "--problems", "5", "--seed", "-1",
+         "--output", "{tmp}/x.csv"],
+        ["generate", "--type", "test", "--students", "5", "--problems", "5", "--noise", "0.7",
+         "--output", "{tmp}/x.csv"],
+        ["generate", "--type", "test", "--students", "5", "--problems", "5",
+         "--output", "{tmp}/no/such/x.csv"],
+        ["baseline", "--input", "{chart}", "--clusters", "0", "--output", "{tmp}/r.json"],
+        ["inspect", "--input", "{chart}", "--output", "{tmp}/no/such/c.txt"],
+    ],
+)
+def test_bad_parameters_print_one_error_line_and_exit_two(argv, generated_chart, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path, chart=generated_chart) for a in argv]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 class TestFixture:
@@ -415,6 +470,13 @@ class TestRendering:
         rc = spchart.rearrange(chart)
         text = render.render_text(rc)
         assert "|" in text and "-" in text
+
+    def test_text_underlines_an_unsolved_problem_above_the_first_row(self):
+        rc = spchart.rearrange(spchart.parse_chart("1,0,1\n0,0,1\n1,0,0"))
+        lines = render.render_text(rc).splitlines()
+        assert lines[0].split() == ["P1", "P3", "P2"]  # P2, solved by nobody, comes last
+        assert lines[1] == " " * lines[0].index("P2") + "--"
+        assert lines[2].startswith("S1 ")
 
     def test_svg_polyline_counts(self):
         rc = spchart.rearrange(spchart.parse_chart("1,0\n0,1"))

@@ -368,6 +368,8 @@ class TestRunTrials:
             run_trials(chart, 2, 0, master_seed=0)
         with pytest.raises(MTooLarge):
             run_trials(chart, 5, 1, master_seed=0)
+        with pytest.raises(clustering.ClusteringError):
+            run_trials(chart, 2, 2, -1)
 
     def test_kernel_errors_abort_the_run(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -55,3 +55,5 @@ class TestGenerate:
             GenSpec(ChartType.TEST, 5, 0, seed=0)
         with pytest.raises(ValueError):
             GenSpec(ChartType.TEST, 5, 5, seed=0, noise=0.9)
+        with pytest.raises(ValueError):
+            GenSpec(ChartType.TEST, 5, 5, seed=-1)

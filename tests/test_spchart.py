@@ -489,6 +489,13 @@ class TestTypesValidation:
         with pytest.raises(spchart.ChartError):
             SPChart(np.array([[0.5, 1.0]]), ("S1",), ("P1", "P2"))
 
+    def test_chart_rejects_ids_of_the_wrong_length(self):
+        bits = np.array([[1, 0], [0, 1]])
+        with pytest.raises(LengthMismatch):
+            SPChart(bits, ("S1",), ("P1", "P2"))
+        with pytest.raises(LengthMismatch):
+            SPChart(bits, ("S1", "S2"), ("P1", "P2", "P3"))
+
     def test_chart_is_immutable(self):
         chart = chart_of([[1, 0]])
         with pytest.raises(ValueError):
