@@ -2,9 +2,8 @@
 
 Subcommands: ``cluster`` (random-restart attractor clustering),
 ``baseline`` (score-quantile split), ``inspect`` (rearranged chart with
-curves), ``generate`` (synthetic charts), and ``fixture`` (built-in
-regression check).  Exit codes: 0 ok, 1 input/parse error, 2 invalid
-parameters, 4 fixture check failed, 141 stdout closed by its reader.
+curves) and ``generate`` (synthetic charts).  Exit codes: 0 ok, 1
+input/parse error, 2 invalid parameters, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import clustering, datagen, hopfield, reference, render, report, spchart
+from . import clustering, datagen, render, report, spchart
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PARAMS = 2
-EXIT_FIXTURE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
@@ -93,7 +89,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     raw, chart = _load_chart(args.input)
     result = clustering.score_baseline(chart, args.clusters)
     # one trial, with no seed, representatives or relaxation
-    f1, f2 = clustering.f1(result.sizes(), args.clusters), clustering.f2(result.gammas())
+    f1 = clustering.f1([c.size for c in result.clusters], args.clusters)
+    f2 = clustering.f2([c.gamma for c in result.clusters])
     summary = clustering.TrialSummary(0, None, f1, f2, len(result.clusters))
     best = clustering.TrialReport(summary, result, {})
     parameters = {"clusters": args.clusters, "trials": None, "seed": None}
@@ -131,12 +128,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"S: {' '.join(str(s) for s in rc.s_totals)}\n"
         f"P: {' '.join(str(p) for p in rc.p_totals)}\n"
     )
-    _print_all(summary if args.output else summary + rendering)
-    if args.output:
+    if args.output:  # written first, so that a failed write prints nothing
         try:
             Path(args.output).write_text(rendering, encoding="utf-8")
         except OSError as exc:
             raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
+    _print_all(summary if args.output else summary + rendering)
     return EXIT_OK
 
 
@@ -156,27 +153,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         Path(args.output).write_text(spchart.chart_to_csv(chart), encoding="utf-8")
     except OSError as exc:
         raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
-    return EXIT_OK
-
-
-def cmd_fixture(_args: argparse.Namespace) -> int:
-    print("reference patterns:")
-    for pattern in reference.REFERENCE_PATTERNS:
-        print("  " + "".join(str(b) for b in pattern))
-    learned = hopfield.hebbian_learn(np.array(reference.REFERENCE_PATTERNS))
-    print("learned weights:")
-    for row in learned:
-        print("  " + " ".join(f"{int(v):3d}" for v in row))
-    failures = reference.verify()
-    points = hopfield.enumerate_fixed_points(learned)
-    print(f"fixed points found: {len(points)}")
-    for p in points:
-        print("  " + "".join(str(int(b)) for b in hopfield.binary_from_bipolar(p)))
-    if failures:
-        for message in failures:
-            print(f"fixture check failed: {message}", file=sys.stderr)
-        return EXIT_FIXTURE
-    print("fixture checks passed")
     return EXIT_OK
 
 
@@ -216,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--noise", type=float, default=0.0)
     p_gen.add_argument("--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
-
-    p_fix = sub.add_parser("fixture", help="run the built-in regression fixture")
-    p_fix.set_defaults(func=cmd_fixture)
     return parser
 
 

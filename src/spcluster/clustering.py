@@ -64,12 +64,6 @@ class Clustering:
     chart: SPChart
     representatives: tuple[int, ...]
 
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.clusters]
-
-    def gammas(self) -> list[float]:
-        return [c.gamma for c in self.clusters]
-
 
 @dataclass(frozen=True)
 class TrialSummary:

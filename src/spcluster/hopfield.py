@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENUMERATION_LIMIT = 20  # 2^N states are materialized
-
 
 class NetworkError(ValueError):
     """Base class for connection-matrix and state validation failures."""
@@ -34,12 +32,6 @@ class NotSymmetric(NetworkError):
 class NonzeroDiagonal(NetworkError):
     def __init__(self) -> None:
         super().__init__("connection matrix must have a zero diagonal")
-
-
-class TooLarge(NetworkError):
-    def __init__(self, n: int, limit: int) -> None:
-        self.n = n
-        super().__init__(f"exhaustive scan over 2^{n} states exceeds the limit of 2^{limit}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,35 +275,3 @@ def energy(state, w: np.ndarray) -> float:
     x = _as_state(state).astype(np.int64)
     return float(-0.5 * (x @ np.asarray(w) @ x))
 
-
-def all_states(n: int) -> np.ndarray:
-    """All 2^n bipolar states, one per row, in ascending binary order."""
-    count = 1 << n
-    codes = np.arange(count, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
-    return (2 * bits.astype(np.int8) - 1)
-
-
-def enumerate_fixed_points(w: np.ndarray) -> list[np.ndarray]:
-    """All states unchanged by a sweep, in ascending binary order.
-
-    A state survives a sequential sweep untouched exactly when every
-    component already matches the sign of its field, so the scan is a
-    single matrix product per chunk.
-    """
-    w = np.asarray(w)
-    n = w.shape[0]
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(n, ENUMERATION_LIMIT)
-    states = all_states(n)
-    found: list[np.ndarray] = []
-    chunk = 1 << 14
-    for lo in range(0, states.shape[0], chunk):
-        block = states[lo : lo + chunk]
-        fields = block.astype(np.int64) @ w.T
-        fixed = ((fields >= 0) == (block > 0)).all(axis=1)
-        for row in block[fixed]:
-            row = row.copy()
-            row.flags.writeable = False
-            found.append(row)
-    return found

@@ -404,15 +404,6 @@ def rearrange(chart: SPChart) -> RearrangedChart:
     )
 
 
-def correct_rates(chart: SPChart) -> np.ndarray:
-    """Per-problem correct-answer rate: column sum / number of students.
-
-    With ``caution_index`` this is the paper's per-student definition, and
-    the reference that tests check ``caution_from_counts`` against.
-    """
-    return chart.bits.mean(axis=0)
-
-
 def classify_rate(rate: float) -> ChartType:
     """Classify a mean correct rate over all cells of a chart.
 
@@ -429,22 +420,6 @@ def classify_rate(rate: float) -> ChartType:
 def classify_type(chart: SPChart) -> ChartType:
     """Classify by the mean correct rate over all cells (``classify_rate``)."""
     return classify_rate(float(chart.bits.mean()))
-
-
-def caution_index(row, rates) -> float:
-    """Mean absolute deviation of one answer row from per-problem rates.
-
-    Always in [0, 1]; zero when the row equals the rate vector, which
-    happens for every member of a cluster of identical rows.  This is the
-    paper's per-student definition; ``caution_from_counts`` computes a
-    group's mean of it from column counts, and tests check it against
-    this function.
-    """
-    bits = np.asarray(row, dtype=float)
-    mu = np.asarray(rates, dtype=float)
-    if bits.shape != mu.shape:
-        raise LengthMismatch(mu.shape[0] if mu.ndim else 0, bits.shape[0] if bits.ndim else 0)
-    return float(np.abs(bits - mu).mean())
 
 
 def caution_from_counts(counts, sizes) -> list[float]:

@@ -1,0 +1,93 @@
+"""Reference data and slow, obviously-correct definitions the tests check
+the package against.
+
+A 10-unit network with known behaviour: four representative score
+vectors, the exact weight matrix correlation learning must produce for
+them, and the complete fixed-point set of that network (four states,
+found by an exhaustive scan over all 2^10 states).  Also the exhaustive
+fixed-point scan itself and the paper's per-student correct rates and
+caution index.
+"""
+
+import numpy as np
+
+from spcluster.spchart import LengthMismatch, SPChart
+
+REFERENCE_PATTERNS: tuple[tuple[int, ...], ...] = (
+    (1, 0, 1, 0, 0, 0, 0, 1, 1, 1),
+    (0, 0, 0, 1, 1, 0, 1, 0, 1, 0),
+    (0, 1, 0, 1, 1, 1, 1, 1, 1, 1),
+    (0, 0, 1, 0, 0, 1, 0, 0, 0, 0),
+)
+
+REFERENCE_WEIGHTS: tuple[tuple[int, ...], ...] = (
+    (0, 0, 2, -2, -2, -2, -2, 2, 0, 2),
+    (0, 0, -2, 2, 2, 2, 2, 2, 0, 2),
+    (2, -2, 0, -4, -4, 0, -4, 0, -2, 0),
+    (-2, 2, -4, 0, 4, 0, 4, 0, 2, 0),
+    (-2, 2, -4, 4, 0, 0, 4, 0, 2, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0, -2, 0),
+    (-2, 2, -4, 4, 4, 0, 0, 0, 2, 0),
+    (2, 2, 0, 0, 0, 0, 0, 0, 2, 4),
+    (0, 0, -2, 2, 2, -2, 2, 2, 0, 2),
+    (2, 2, 0, 0, 0, 0, 0, 4, 2, 0),
+)
+
+# Complete fixed-point set of the reference network; the four stored
+# patterns collapse pairwise onto two attractors plus their complements.
+REFERENCE_FIXED_POINTS: tuple[tuple[int, ...], ...] = (
+    (1, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+    (1, 0, 1, 0, 0, 0, 0, 1, 0, 1),
+    (0, 1, 0, 1, 1, 1, 1, 1, 1, 1),
+    (0, 1, 0, 1, 1, 1, 1, 0, 1, 0),
+)
+
+
+def all_states(n: int) -> np.ndarray:
+    """All 2^n bipolar states, one per row, in ascending binary order."""
+    count = 1 << n
+    codes = np.arange(count, dtype=np.uint32)
+    bits = (codes[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
+    return (2 * bits.astype(np.int8) - 1)
+
+
+def enumerate_fixed_points(w: np.ndarray) -> list[np.ndarray]:
+    """All states unchanged by a sweep, in ascending binary order.
+
+    A state survives a sequential sweep untouched exactly when every
+    component already matches the sign of its field, so the scan is a
+    single matrix product per chunk.
+    """
+    w = np.asarray(w)
+    states = all_states(w.shape[0])
+    found: list[np.ndarray] = []
+    chunk = 1 << 14
+    for lo in range(0, states.shape[0], chunk):
+        block = states[lo : lo + chunk]
+        fields = block.astype(np.int64) @ w.T
+        fixed = ((fields >= 0) == (block > 0)).all(axis=1)
+        for row in block[fixed]:
+            row = row.copy()
+            row.flags.writeable = False
+            found.append(row)
+    return found
+
+
+def correct_rates(chart: SPChart) -> np.ndarray:
+    """Per-problem correct-answer rate: column sum / number of students."""
+    return chart.bits.mean(axis=0)
+
+
+def caution_index(row, rates) -> float:
+    """Mean absolute deviation of one answer row from per-problem rates.
+
+    Always in [0, 1]; zero when the row equals the rate vector, which
+    happens for every member of a cluster of identical rows.  This is the
+    paper's per-student definition; ``spchart.caution_from_counts``
+    computes a group's mean of it from column counts.
+    """
+    bits = np.asarray(row, dtype=float)
+    mu = np.asarray(rates, dtype=float)
+    if bits.shape != mu.shape:
+        raise LengthMismatch(mu.shape[0] if mu.ndim else 0, bits.shape[0] if bits.ndim else 0)
+    return float(np.abs(bits - mu).mean())

@@ -399,6 +399,15 @@ class TestInspect:
         assert inspect.stderr.endswith("; use --output\n")
         assert inspect.stderr.count("\n") == 1
 
+    def test_unwritable_output_prints_nothing(self, tmp_path, capsys):
+        path = write_chart(tmp_path, [[0, 1], [1, 1]])
+        out = tmp_path / "no" / "such" / "c.txt"
+        assert run_cli(["inspect", "--input", str(path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --output: ")
+        assert captured.err.count("\n") == 1
+
     def test_svg(self, tmp_path):
         path = write_chart(tmp_path, [[0, 1], [1, 1]])
         out = tmp_path / "chart.svg"
@@ -434,34 +443,6 @@ def test_bad_parameters_print_one_error_line_and_exit_two(argv, generated_chart,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
-
-
-class TestFixture:
-    def test_passes_by_default(self, capsys):
-        from spcluster.reference import REFERENCE_FIXED_POINTS, REFERENCE_WEIGHTS
-
-        assert run_cli(["fixture"]) == 0
-        out = capsys.readouterr().out
-        assert "fixture checks passed" in out
-        # the printed matrix is exactly the stored reference
-        lines = out.splitlines()
-        start = lines.index("learned weights:") + 1
-        printed = [tuple(int(v) for v in line.split()) for line in lines[start : start + 10]]
-        assert tuple(printed) == REFERENCE_WEIGHTS
-        for point in REFERENCE_FIXED_POINTS:
-            assert "  " + "".join(str(b) for b in point) in lines
-
-    def test_corrupted_fixture_fails(self, monkeypatch, capsys):
-        from spcluster import reference
-
-        broken = [list(row) for row in reference.REFERENCE_WEIGHTS]
-        broken[0][2] = -broken[0][2]
-        broken[2][0] = -broken[2][0]
-        monkeypatch.setattr(
-            reference, "REFERENCE_WEIGHTS", tuple(tuple(r) for r in broken)
-        )
-        assert run_cli(["fixture"]) == 4
-        assert "fixture check failed" in capsys.readouterr().err
 
 
 class TestRendering:

