@@ -87,14 +87,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     raw, chart = _load_chart(args.input)
-    result = clustering.score_baseline(chart, args.clusters)
-    # one trial, with no seed, representatives or relaxation
-    f1 = clustering.f1([c.size for c in result.clusters], args.clusters)
-    f2 = clustering.f2([c.gamma for c in result.clusters])
-    summary = clustering.TrialSummary(0, None, f1, f2, len(result.clusters))
-    best = clustering.TrialReport(summary, result, {})
+    best = clustering.score_baseline(chart, args.clusters)
     parameters = {"clusters": args.clusters, "trials": None, "seed": None}
-    return _write_report(args, raw, parameters, best, [summary])
+    return _write_report(args, raw, parameters, best, [best.summary])
 
 
 def _print_all(text: str) -> None:

@@ -218,12 +218,18 @@ def f2(gammas) -> float:
     return max(gammas)
 
 
-def score_baseline(chart: SPChart, m: int) -> Clustering:
+def _summary(t: int, seed: int | None, m: int, sizes: list, gammas: list) -> TrialSummary:
+    """Trial t's score from its cluster sizes and gammas (plain Python numbers)."""
+    return TrialSummary(t, seed, f1(sizes, m), f2(gammas), len(sizes))
+
+
+def score_baseline(chart: SPChart, m: int) -> TrialReport:
     """Split students into m contiguous groups of near-equal size by score.
 
     Students are ordered by total score descending (ties keep original
     order); the first L mod m groups take one extra student.  Clusters
-    carry no fixed point.
+    carry no fixed point.  The split is scored as trial 0, with no seed
+    and no sweeps histogram.
     """
     L = chart.num_students
     _check_m(m, L)
@@ -231,16 +237,15 @@ def score_baseline(chart: SPChart, m: int) -> Clustering:
     base, extra = divmod(L, m)
     sizes = base + (np.arange(m) < extra)
     scores = _gammas(chart.bits[order], sizes, sizes)
-    return Clustering(_clusters(order, sizes, [None] * m, scores), chart, ())
+    result = Clustering(_clusters(order, sizes, [None] * m, scores), chart, ())
+    return TrialReport(_summary(0, None, m, sizes.tolist(), scores[0]), result, {})
 
 
 def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialSummary:
     seed = trial_seed(master_seed, t)
     reps = select_representatives(rows.chart, m, np.random.default_rng(seed))
     _, _, sizes, (gammas, _), _ = _trial(rows, reps)
-    return TrialSummary(
-        trial_index=t, seed=seed, f1=f1(sizes, m), f2=f2(gammas), n_clusters=len(sizes)
-    )
+    return _summary(t, seed, m, sizes, gammas)
 
 
 def workers_from_env() -> int:
@@ -287,7 +292,10 @@ def run_trials(
         # imported here: it pulls in multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = ceil(trials / workers)
+        # never more processes than trials or than the CPUs this process may use
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        chunk = ceil(trials / min(workers, trials, cpus))
         with ProcessPoolExecutor(max_workers=ceil(trials / chunk)) as pool:
             summaries = list(pool.map(run, range(trials), chunksize=chunk))
 

@@ -177,14 +177,17 @@ def _line(codes: np.ndarray, start: int = 0, end: int | None = None) -> str:
 
 
 def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``raw`` framed by two "\\n", and the start and end of each non-blank
-    line in it, or None if ``csv.reader`` must read it.  Without a quote, CR
-    or NUL, or a line over ``csv.field_size_limit()`` characters, the reader
-    makes one record of each "\\n"-ended line (``str.splitlines`` would also
-    break at "\\x85" and others), split at every comma.  Neither byte occurs
+    """``raw`` with each CRLF and bare CR as "\\n", framed by two "\\n",
+    and the start and end of each non-blank line in it, or None if it holds
+    a quote or NUL, or a line over ``csv.field_size_limit()`` characters.
+    Without those, ``csv.reader`` makes one record of each line, which
+    "\\n", "\\r\\n" or "\\r" ends (``str.splitlines`` would also break at
+    "\\x85" and others), split at every comma.  None of these bytes occurs
     inside a UTF-8 character."""
-    if b'"' in raw or b"\r" in raw or b"\x00" in raw:
+    if b'"' in raw or b"\x00" in raw:
         return None
+    if b"\r" in raw:  # a test first: replace scans far slower than memchr
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     codes = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
     breaks = np.flatnonzero(codes == ord("\n"))
     starts, ends = breaks[:-1] + 1, breaks[1:]
@@ -197,16 +200,6 @@ def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     for i in np.flatnonzero(_MAYBE_BLANK[codes[ends - 1]]).tolist():  # an empty line ends in "\\n"
         keep[i] = bool(_line(codes, starts[i], ends[i]).strip(_BLANK))
     return codes, starts[keep], ends[keep]
-
-
-def _csv_records(text: str) -> list[list[str]]:
-    """The non-blank records ``csv.reader`` reads from ``text``."""
-    # newline="", as the csv docs advise: records end at LF, CRLF and bare CR
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        return [record for record in reader if "".join(record).strip()]
-    except csv.Error as exc:  # an over-long field, NUL before Python 3.11
-        raise UnreadableCsv(reader.line_num, str(exc)) from exc
 
 
 def _window_bits(codes: np.ndarray, ends: np.ndarray, skip: int, width: int) -> np.ndarray | None:
@@ -254,34 +247,65 @@ def _record_bits(records: list[list[str]], skip: int, width: int) -> np.ndarray 
     return _window_bits(codes, ends, 0, width) if ends.size == len(records) else None
 
 
-def _raise_first_bad_cell(
-    rows: list[list[str]], skip: int, width: int, row_offset: int
-) -> None:
-    """Raise for the first ragged row or non-binary cell, in file order."""
-    for r, record in enumerate(rows):
-        cells = record[skip:]
-        if len(cells) != width:
-            raise RaggedRows(width, len(cells), row=r + row_offset)
-        for c, tok in enumerate(cells):
-            if tok not in ("0", "1"):
-                raise NonBinaryCell(r + row_offset, c + skip + 1, tok)
+def _header(first: list[str]) -> list[str] | None:
+    """The first row's stripped cells if they are a header, else None.  A
+    non-numeric token in the first cell alone is explained by a label
+    column, so only tokens beyond position 0 mark the row as a header."""
+    cells = [cell.strip() for cell in first]
+    return cells if any(not _is_numeric(tok) for tok in cells[1:]) else None
 
 
 def _parse_lines(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """(bits, student ids, has labels, width) of data lines that are all
-    bare "0"/"1" cells after one label or none, else None."""
-    if starts.size == 0:
+    """(header, bits, student ids) of the lines, or None unless each data
+    line is bare "0"/"1" cells after one label or none."""
+    first = [_line(codes, s, e).split(",") for s, e in zip(starts[:2].tolist(), ends[:2].tolist())]
+    header = _header(first[0]) if first else None
+    if header is not None:
+        first, starts, ends = first[1:], starts[1:], ends[1:]
+    if not first:
         return None
-    first = _line(codes, starts[0], ends[0])
-    # a label in the first line makes a label column; with none there, the
-    # window rejects a label in any other line
-    skip = 0 if _is_numeric(first.partition(",")[0].strip()) else 1
-    width = first.count(",") + 1 - skip
+    # a label in the first data line makes a label column; with none there,
+    # the window rejects a label in any other line
+    skip = 0 if _is_numeric(first[0][0].strip()) else 1
+    width = len(first[0]) - skip
     bits = _window_bits(codes, ends, skip, width) if width > 0 else None
     student_ids = _labels(codes, starts, ends - 2 * width) if skip and bits is not None else None
     if bits is None or (skip and student_ids is None):
         return None
-    return bits, student_ids, skip == 1, width
+    return header, bits, student_ids
+
+
+def _parse_records(text: str):
+    """(header, bits, student ids) of the records ``csv.reader`` reads from
+    ``text``.  Raises ``UnreadableCsv`` for what the reader refuses, and
+    else for the first ragged row or non-binary cell, in file order."""
+    # newline="", as the csv docs advise: records end at LF, CRLF and bare CR
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [record for record in reader if "".join(record).strip()]
+    except csv.Error as exc:  # an over-long field, NUL before Python 3.11
+        raise UnreadableCsv(reader.line_num, str(exc)) from exc
+    header = _header(rows[0]) if rows else None
+    rows = rows[header is not None:]
+    if not rows:
+        raise EmptyInput()
+    skip = 1 if any(not _is_numeric(r[0].strip()) for r in rows) else 0
+    width = len(rows[0]) - skip
+    if width < 1:
+        raise EmptyInput()
+    # cells are almost always bare digits; strip them only when that fails
+    bits = _record_bits(rows, skip, width)
+    if bits is None:
+        rows = [[cell.strip() for cell in r] for r in rows]
+        bits = _record_bits(rows, skip, width)
+    if bits is None:
+        for r, record in enumerate(rows, start=2 if header is not None else 1):
+            if len(record) != skip + width:
+                raise RaggedRows(width, len(record) - skip, row=r)
+            for c, tok in enumerate(record[skip:], start=skip + 1):
+                if tok not in ("0", "1"):
+                    raise NonBinaryCell(r, c, tok)
+    return header, bits, [r[0].strip() for r in rows] if skip else None
 
 
 def parse_chart(data: str | bytes) -> SPChart:
@@ -294,15 +318,15 @@ def parse_chart(data: str | bytes) -> SPChart:
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
     are generated as S1..SL and P1..PN.  Cells may be padded with
     whitespace; rows of only whitespace are skipped.  One leading byte
-    order mark (U+FEFF) is ignored.
+    order mark (U+FEFF) is ignored.  Lines may end in LF, CRLF or CR.
 
-    Text that ``csv.reader`` would split at every comma and line end is
-    read on its UTF-8 bytes (``_plain_lines``): array operations find the
-    lines, check the cells and gather the labels.  Quoted text, CR line
-    ends, NUL and lines longer than ``csv.field_size_limit()`` go through
-    ``csv.reader``, and what it refuses raises ``UnreadableCsv``.  Lines
-    with padded or bad cells go on cell by cell, as the reader's records
-    do.  All paths give the same chart.
+    Two readers give the same chart.  Text without a quote or NUL, whose
+    cells are all bare "0"/"1" after one label or none, is read on its
+    UTF-8 bytes (``_plain_lines``, ``_parse_lines``): array operations
+    find the lines, check the cells and gather the labels.  Everything
+    else goes through ``csv.reader`` (``_parse_records``): quoted text,
+    NUL, lines longer than ``csv.field_size_limit()``, padded or bad cells
+    and ragged rows.  What the reader refuses raises ``UnreadableCsv``.
     """
     if isinstance(data, bytes):
         if not data.isascii():
@@ -314,44 +338,16 @@ def parse_chart(data: str | bytes) -> SPChart:
     else:
         raw = data.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
     lines = _plain_lines(raw)
-    if lines is None:
-        rows = _csv_records(raw.decode("utf-8", "surrogatepass"))
-    else:
-        codes, starts, ends = lines
-        rows = [_line(codes, starts[0], ends[0]).split(",")] if starts.size else []
-
-    # a non-numeric token in the first cell alone is explained by a label
-    # column, so only tokens beyond position 0 mark the row as a header
-    header = [cell.strip() for cell in rows[0]] if rows else []
-    has_header = any(not _is_numeric(tok) for tok in header[1:])
-    parsed = None if lines is None else _parse_lines(codes, starts[has_header:], ends[has_header:])
-    if parsed is not None:
-        bits, student_ids, has_labels, width = parsed
-    else:
-        if lines is not None:  # a padded or bad cell: go on cell by cell
-            rows = [_line(codes, s, e).split(",") for s, e in zip(starts.tolist(), ends.tolist())]
-        data_rows = rows[1:] if has_header else rows
-        if not data_rows:
-            raise EmptyInput()
-        has_labels = any(not _is_numeric(r[0].strip()) for r in data_rows)
-        skip = 1 if has_labels else 0
-        width = len(data_rows[0]) - skip
-        if width < 1:
-            raise EmptyInput()
-        # cells are almost always bare digits; strip them only when that fails
-        bits = _record_bits(data_rows, skip, width)
-        if bits is None:
-            data_rows = [[cell.strip() for cell in r] for r in data_rows]
-            bits = _record_bits(data_rows, skip, width)
-        if bits is None:
-            _raise_first_bad_cell(data_rows, skip, width, row_offset=2 if has_header else 1)
-        student_ids = [r[0].strip() for r in data_rows] if has_labels else None
-
-    if has_header and has_labels and len(header) == width + 1:
+    parsed = None if lines is None else _parse_lines(*lines)
+    if parsed is None:
+        parsed = _parse_records(raw.decode("utf-8", "surrogatepass"))
+    header, bits, student_ids = parsed
+    width = bits.shape[1]
+    if header is not None and student_ids is not None and len(header) == width + 1:
         header = header[1:]  # drop the corner cell above the label column
-    if has_header and len(header) != width:
+    if header is not None and len(header) != width:
         raise RaggedRows(width, len(header), row=1)
-    return _make_chart(bits, student_ids, header if has_header else None)
+    return _make_chart(bits, student_ids, header)
 
 
 def chart_to_csv(chart: SPChart) -> str:

@@ -170,7 +170,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_baseline_shape():
     rng = np.random.default_rng(66)
     chart = chart_of(rng.integers(0, 2, size=(100, 10)))
-    result = clustering.score_baseline(chart, 4)
+    result = clustering.score_baseline(chart, 4).clustering
     sizes = [c.size for c in result.clusters]
     value = clustering.f1(sizes, 4)
     verdict(

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,7 +296,7 @@ class TestScoreBaseline:
     def test_equal_quarters(self):
         rng = np.random.default_rng(1)
         chart = chart_of(rng.integers(0, 2, size=(100, 10)))
-        result = score_baseline(chart, 4)
+        result = score_baseline(chart, 4).clustering
         sizes = [c.size for c in result.clusters]
         assert sizes == [25, 25, 25, 25]
         assert f1(sizes, 4) == 0.0
@@ -301,18 +304,18 @@ class TestScoreBaseline:
 
     def test_singletons_in_score_order(self):
         chart = chart_of([[1, 1], [0, 0], [1, 0], [0, 1]])
-        result = score_baseline(chart, 4)
+        result = score_baseline(chart, 4).clustering
         assert [c.member_indices for c in result.clusters] == [(0,), (2,), (3,), (1,)]
 
     def test_remainder_distribution(self):
         chart = chart_of(np.ones((10, 3), dtype=np.int8))
-        result = score_baseline(chart, 3)
+        result = score_baseline(chart, 3).clustering
         assert [c.size for c in result.clusters] == [4, 3, 3]
 
     def test_groups_are_contiguous_in_score(self):
         rng = np.random.default_rng(8)
         chart = chart_of(rng.integers(0, 2, size=(30, 6)))
-        result = score_baseline(chart, 4)
+        result = score_baseline(chart, 4).clustering
         scores = chart.bits.sum(axis=1)
         previous_min = None
         for cluster in result.clusters:
@@ -324,6 +327,17 @@ class TestScoreBaseline:
     def test_m_too_large(self):
         with pytest.raises(MTooLarge):
             score_baseline(chart_of([[1], [0]]), 3)
+
+    def test_scored_as_trial_zero(self):
+        rng = np.random.default_rng(3)
+        chart = chart_of(rng.integers(0, 2, size=(30, 6)))
+        report = score_baseline(chart, 4)
+        clusters = report.clustering.clusters
+        sizes, gammas = [c.size for c in clusters], [c.gamma for c in clusters]
+        expected = clustering.TrialSummary(0, None, f1(sizes, 4), f2(gammas), 4)
+        assert report.summary == expected
+        assert type(report.summary.f1) is float and type(report.summary.f2) is float
+        assert report.sweeps_histogram == {}
 
 
 class TestRunTrials:
@@ -351,6 +365,33 @@ class TestRunTrials:
         assert seq_all == par_all
         assert seq_best.summary == par_best.summary
         assert seq_best.sweeps_histogram == par_best.sweeps_histogram
+
+    def test_pool_never_starts_more_processes_than_cpus(self, monkeypatch):
+        started = []
+
+        class InProcessPool:  # records the request and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        chart = random_chart(np.random.default_rng(6), max_students=30)
+        trials = cpus + 1
+        one_best, one_all = run_trials(chart, 3, trials, master_seed=1, workers=1)
+        many_best, many_all = run_trials(chart, 3, trials, master_seed=1, workers=10**6)
+        assert len(started) == 1 and 1 <= started[0] <= cpus
+        assert many_all == one_all
+        assert many_best.summary == one_best.summary
 
     def test_best_minimizes_f2_over_summaries(self):
         rng = np.random.default_rng(10)

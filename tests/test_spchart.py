@@ -191,6 +191,11 @@ class TestParseAgainstReference:
             "0,1,1\n1,0,1\n1,1,1\n",  # a bare chart: no header and no label column
             "S1,0,1\n\u3000\xa0\n\u2028,\u3000\nS2,1,0\n\x85\n",  # blank lines of non-ASCII spaces
             "S1,0,1\nS2,1,0\n\u3000,\n",
+            "id,P1,P2\r\nS1, 0,1\r\nS2,1,0\r\n",  # CRLF with a padded cell
+            "id,P1,P2\r\nS1,0,1\r\nS2,1,2\r\n",  # CRLF with a bad cell
+            "S1,0,1\r\r\n\r , \rS2,1,0\r\r",  # blank lines ended by CR
+            "id,P1,P2\r\n",  # a CRLF header-only file
+            "id,P1\nS1,1\rS2,0\r\nS3,1\n\rS4,0",  # mixed line ends
         ],
     )
     def test_edge_cases(self, text):
@@ -227,21 +232,21 @@ class TestParseAgainstReference:
         whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
         assert set(spchart._BLANK) == whitespace | {","}
 
-    def test_csv_reader_reads_only_quoted_cr_and_nul_input(self, monkeypatch):
+    def test_csv_reader_reads_only_quoted_and_nul_input(self, monkeypatch):
         calls = []
-        real = spchart._csv_records
-        monkeypatch.setattr(spchart, "_csv_records", lambda text: calls.append(text) or real(text))
+        real = spchart._parse_records
+        monkeypatch.setattr(spchart, "_parse_records", lambda t: calls.append(t) or real(t))
         for kind in ChartType:
             text = spchart.chart_to_csv(generate_chart(GenSpec(kind, 40, 6, seed=3)))
             chart = spchart.parse_chart(text)
+            for other in (text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+                assert spchart.parse_chart(other) == chart
+                assert spchart.parse_chart(other.encode()) == chart
             assert calls == []
-            for other in (text.replace("\n", "\r\n"), text.replace("S1,", '"S1",'),
-                          text + "\x00\n", text.replace("\n", "\r")):
+            for other in (text.replace("S1,", '"S1",'), text + "\x00\n"):
                 outcome = parse_outcome(spchart.parse_chart, other)
                 assert calls.pop() == other
                 assert outcome == parse_outcome(reference_parse, other)
-            assert parse_outcome(spchart.parse_chart, text.replace("\n", "\r\n")) == chart
-            calls.clear()
 
     @pytest.mark.parametrize("kind", list(ChartType))
     def test_bare_cr_line_ends_read_as_lf(self, kind):
