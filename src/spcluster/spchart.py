@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -155,20 +155,10 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
-# A row is blank when it holds only commas and these, the characters
-# str.isspace() accepts (a test checks the list against the Unicode table).
-_BLANK = (
-    ",\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-    + "".join(map(chr, range(0x2000, 0x200B)))
-    + "\u2028\u2029\u202f\u205f\u3000"
-)
-
-
-# Bytes that can begin or end a _BLANK character in UTF-8: its ASCII members
-# and all over 0x7f.  Lines and labels without one at an end need no strip.
-_MAYBE_BLANK = np.zeros(256, dtype=bool)
-_MAYBE_BLANK[[ord(c) for c in _BLANK if c.isascii()]] = True
-_MAYBE_BLANK[0x80:] = True
+# Bytes that can begin or end a comma or a str.isspace() character in UTF-8:
+# the comma, the ASCII whitespace and every byte over 0x7f.  Lines and labels
+# without one at an end need no strip.
+_MAYBE_BLANK = np.array([b > 0x7F or chr(b) == "," or chr(b).isspace() for b in range(256)])
 
 
 def _line(codes: np.ndarray, start: int = 0, end: int | None = None) -> str:
@@ -179,11 +169,12 @@ def _line(codes: np.ndarray, start: int = 0, end: int | None = None) -> str:
 def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``raw`` with each CRLF and bare CR as "\\n", framed by two "\\n",
     and the start and end of each non-blank line in it, or None if it holds
-    a quote or NUL, or a line over ``csv.field_size_limit()`` characters.
+    a quote or NUL, or a line over ``csv.field_size_limit()`` bytes.
     Without those, ``csv.reader`` makes one record of each line, which
     "\\n", "\\r\\n" or "\\r" ends (``str.splitlines`` would also break at
     "\\x85" and others), split at every comma.  None of these bytes occurs
-    inside a UTF-8 character."""
+    inside a UTF-8 character.  A line of only commas and ``str.isspace()``
+    characters is blank, as such a record is to ``_parse_records``."""
     if b'"' in raw or b"\x00" in raw:
         return None
     if b"\r" in raw:  # a test first: replace scans far slower than memchr
@@ -191,14 +182,11 @@ def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     codes = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
     breaks = np.flatnonzero(codes == ord("\n"))
     starts, ends = breaks[:-1] + 1, breaks[1:]
-    limit = csv.field_size_limit()
-    # a character takes at least one byte: only lines of more bytes can be too long
-    for i in np.flatnonzero(ends - starts > limit).tolist():
-        if len(_line(codes, starts[i], ends[i])) > limit:
-            return None
+    if (ends - starts > csv.field_size_limit()).any():  # no real chart has such a line
+        return None
     keep = np.ones(ends.size, dtype=bool)
     for i in np.flatnonzero(_MAYBE_BLANK[codes[ends - 1]]).tolist():  # an empty line ends in "\\n"
-        keep[i] = bool(_line(codes, starts[i], ends[i]).strip(_BLANK))
+        keep[i] = bool(_line(codes, starts[i], ends[i]).replace(",", "").strip())
     return codes, starts[keep], ends[keep]
 
 
@@ -237,14 +225,13 @@ def _labels(codes: np.ndarray, starts: np.ndarray, cuts: np.ndarray) -> list[str
 def _record_bits(records: list[list[str]], skip: int, width: int) -> np.ndarray | None:
     """The cells after the first ``skip`` of every record as a bit matrix,
     or None unless every record holds ``skip + width`` cells, each exactly
-    "0" or "1".  The data cells of a record are joined into one line for
-    ``_window_bits``, where a cell holding a comma or line end shows."""
+    "0" or "1"."""
     if set(map(len, records)) != {skip + width}:
         return None
-    text = "\n" + "\n".join([",".join(islice(r, skip, None)) for r in records]) + "\n"
-    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    ends = np.flatnonzero(codes == ord("\n"))[1:]
-    return _window_bits(codes, ends, 0, width) if ends.size == len(records) else None
+    cells = list(chain.from_iterable(r[skip:] for r in records))
+    if not set(cells) <= {"0", "1"}:
+        return None
+    return (np.frombuffer("".join(cells).encode(), dtype=np.uint8) - ord("0")).reshape(-1, width)
 
 
 def _header(first: list[str]) -> list[str] | None:
@@ -317,16 +304,18 @@ def parse_chart(data: str | bytes) -> SPChart:
     so purely numeric labels are not supported: a numeric cell that is
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
     are generated as S1..SL and P1..PN.  Cells may be padded with
-    whitespace; rows of only whitespace are skipped.  One leading byte
-    order mark (U+FEFF) is ignored.  Lines may end in LF, CRLF or CR.
+    whitespace; rows of only commas and ``str.isspace()`` whitespace are
+    skipped.  One leading byte order mark (U+FEFF) is ignored.  Lines may
+    end in LF, CRLF or CR.
 
     Two readers give the same chart.  Text without a quote or NUL, whose
     cells are all bare "0"/"1" after one label or none, is read on its
     UTF-8 bytes (``_plain_lines``, ``_parse_lines``): array operations
     find the lines, check the cells and gather the labels.  Everything
-    else goes through ``csv.reader`` (``_parse_records``): quoted text,
-    NUL, lines longer than ``csv.field_size_limit()``, padded or bad cells
-    and ragged rows.  What the reader refuses raises ``UnreadableCsv``.
+    else goes through ``csv.reader`` (``_parse_records``), whose cells are
+    checked as strings: quoted text, NUL, lines of more bytes than
+    ``csv.field_size_limit()``, padded or bad cells and ragged rows.  What
+    the reader refuses raises ``UnreadableCsv``.
     """
     if isinstance(data, bytes):
         if not data.isascii():

@@ -212,6 +212,10 @@ class TestCostFunctions:
         with pytest.raises(EmptyClustering):
             f2([])
 
+    def test_f1_rejects_m_below_one(self):
+        with pytest.raises(clustering.ClusteringError):
+            f1([3, 1], 0)
+
     def test_f1_empty(self):
         # f1 takes L from the cluster sizes, so no clusters is an error too
         with pytest.raises(EmptyClustering):

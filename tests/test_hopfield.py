@@ -240,6 +240,10 @@ class TestConverge:
         with pytest.raises(hopfield.NetworkError):
             converge(np.array([1, -1]), np.array([[0.0, 0.5], [0.5, 0.0]]))
 
+    def test_rejects_a_matrix_of_states(self):
+        with pytest.raises(hopfield.NetworkError):
+            converge(np.array([[1, -1]]), np.array([[0, 1], [1, 0]]))
+
     def test_reconverging_is_a_no_op(self):
         rng = np.random.default_rng(17)
         w = hebbian_learn(rng.integers(0, 2, size=(3, 8)))
@@ -336,6 +340,9 @@ class TestConvergeManyAgainstScalar:
         [
             (np.array([[1, 0]]), np.array([[0, 1], [1, 0]])),
             (np.array([[1, -1]]), np.array([[0.0, 0.5], [0.5, 0.0]])),
+            (np.array([1, -1]), np.array([[0, 1], [1, 0]])),  # one state, not a matrix of them
+            (np.array([[1, -1, 1]]), np.array([[0, 1], [1, 0]])),  # states wider than the matrix
+            (np.array([[1, -1]]), np.zeros((2, 3), dtype=np.int64)),  # a matrix that is not square
         ],
     )
     def test_inputs_it_cannot_relax_exactly_are_refused(self, states, w):

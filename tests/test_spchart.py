@@ -228,9 +228,25 @@ class TestParseAgainstReference:
             assert spchart.parse_chart(text) == reference_parse(text)
             assert spchart.parse_chart(text.encode()) == reference_parse(text)
 
-    def test_blank_characters_are_whitespace_and_comma(self):
-        whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
-        assert set(spchart._BLANK) == whitespace | {","}
+    def test_blank_rows_are_commas_and_str_isspace_whitespace(self, monkeypatch):
+        calls = []
+        real = spchart._parse_records
+        monkeypatch.setattr(spchart, "_parse_records", lambda t: calls.append(t) or real(t))
+        chart = chart_of([[0, 1], [1, 0], [1, 1]])
+        whitespace = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        for first, reads in (("S1", 0), ('"S1"', 2)):  # the byte path, then csv.reader
+            for c in whitespace:
+                calls.clear()
+                text = f"id,P1,P2\n{first},0,1\n{c}\nS2,1,0\n{c},{c}\nS3,1,1\n"
+                for data in (text, text.encode()):
+                    assert spchart.parse_chart(data) == reference_parse(data) == chart, repr(c)
+                assert len(calls) == reads, repr(c)
+            # U+200B ZERO WIDTH SPACE is not whitespace to str.isspace, so its row is data
+            text = f"id,P1,P2\n{first},0,1\n\u200b\nS2,1,0\n\u200b,\u200b\nS3,1,1\n"
+            for data in (text, text.encode()):
+                expected = parse_outcome(reference_parse, data)
+                assert expected[0] is RaggedRows
+                assert parse_outcome(spchart.parse_chart, data) == expected
 
     def test_csv_reader_reads_only_quoted_and_nul_input(self, monkeypatch):
         calls = []
@@ -507,6 +523,9 @@ class TestTypesValidation:
         chart = chart_of([[1, 0]])
         with pytest.raises(ValueError):
             chart.bits[0, 0] = 0
+
+    def test_a_chart_never_equals_a_non_chart(self):
+        assert (chart_of([[1, 0]]) == 5) is False
 
     def test_take_rows(self):
         chart = chart_of([[1, 0], [0, 1], [1, 1]])
