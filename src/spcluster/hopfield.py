@@ -9,8 +9,9 @@ eagerly and raise ``NetworkError`` if a state is still changing at that
 bound, so nonconvergence can never pass silently.
 
 The scalar ``sweep``/``converge`` use integer arithmetic and are the
-reference for the batch kernel ``converge_many``, whose float fields are
-exact integers (or the call is refused), so results are bit-reproducible.
+reference for the batch kernel ``converge_many``, whose float products,
+each a field plus 1/2, are exact half-integers (or the call is refused),
+so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -218,13 +219,14 @@ def converge_many(
     ``rows`` is ``distinct_rows(states)``, possibly with the distinct rows
     reordered; a caller relaxing the same states under many matrices
     passes it to group them once.
-    Fields are float BLAS products, exact because the float type holds
-    every partial sum.  Returns the terminal states, per-row sweep counts,
-    and a per-row convergence flag that is always True, since every row
+    A unit update is one float product of [w_j, 1/2] with every state (the
+    columns of a matrix over a row of ones): each field plus 1/2, exact as
+    float32 for row sums of |w| below 2^23 and as float64 below 2^52.
+    Returns the read-only int8 terminal states, per-row sweep counts, and
+    a per-row convergence flag that is always True, since every row
     settles within ``sweep_bound(w)`` sweeps or the call raises
     ``NetworkError``.  Also raises ``NetworkError`` for entries other than
-    -1/+1, for non-integer weights, and for weights whose fields could
-    reach 2^53.
+    -1/+1, for non-integer weights, and for row sums of 2^52 or more.
     """
     w = check_weights(w)
     x = np.asarray(states)
@@ -237,35 +239,46 @@ def converge_many(
         raise NetworkError("state entries must all be -1 or +1")
     row_sums = _abs_row_sums(w)
     budget = sweep_bound(w, row_sums)
-    # float32 holds every field exactly while the largest row sum is below
-    # 2^24; float64 holds them below 2^53, which _abs_row_sums enforces
-    dtype = np.float32 if row_sums.max(initial=0.0) < 2.0**24 else np.float64
+    # each partial sum of a field plus 1/2 is a multiple of 1/2 of magnitude
+    # at most the row sum plus 1/2: exact in float32 below 2^23
+    bound = row_sums.max(initial=0.0)
+    if bound >= 2.0**52:
+        raise NetworkError(f"fields up to {bound:.3g} are not exact to 1/2 in float64")
+    dtype = np.float32 if bound < 2.0**23 else np.float64
 
     first, inverse = distinct_rows(x) if rows is None else rows
     if inverse.shape != (x.shape[0],) or (inverse[first] != np.arange(first.size)).any():
         raise NetworkError("rows do not group these states")
-    wf = w.astype(dtype)
-    xd = x[first].astype(dtype)
-    sweeps = np.zeros(first.size, dtype=np.int64)
-    active = np.arange(first.size)
+    # wb[j] @ xt is f + 1/2 for each column's field f: never 0, and of the
+    # sign of f with sgn(0) = +1.  Column c of xt is distinct row ids[c].
+    wb = np.hstack((w, np.full((n, 1), 0.5))).astype(dtype)
+    xt = np.ones((n + 1, first.size), dtype)
+    xt[:n] = x[first].T
+    ids = np.arange(first.size)
+    changes = np.zeros(first.size, dtype=np.int64)
+    final = np.empty((first.size, n), dtype=np.int8)
+    sweeps = np.empty(first.size, dtype=np.int64)
     for _ in range(budget):
-        if active.size == 0:
-            break
-        # column-major, so that each unit's column is contiguous
-        xa = np.asfortranarray(xd[active])
-        before = xa.copy(order="F")
-        for j in range(n):
-            # a field f is an integer, so f + 1/2 is never 0 and its sign
-            # is sgn(f) with sgn(0) = +1
-            np.sign(xa @ wf[j] + 0.5, out=xa[:, j])
-        changed = (xa != before).any(axis=1)
-        xd[active] = xa
-        sweeps[active] += 1
-        active = active[changed]
-    if active.size:
-        raise NetworkError(f"{active.size} distinct rows still changing after {budget} sweeps")
+        before = xt.copy()
+        field = np.empty(xt.shape[1], dtype)
+        for wj, xj in zip(wb, xt):
+            np.sign(np.dot(wj, xt, out=field), out=xj)
+        # a sweep that changes nothing leaves a fixed point, which no later
+        # sweep changes: a row's count is one more than its changing sweeps,
+        # and settled columns can sweep on until at most half still change
+        changed = (xt != before).any(axis=0)
+        changes += changed
+        moving = np.count_nonzero(changed)
+        if 2 * moving <= changed.size:
+            final[ids[~changed]] = xt[:n, ~changed].T
+            sweeps[ids[~changed]] = changes[~changed] + 1
+            if not moving:
+                break
+            xt, ids, changes = xt.compress(changed, axis=1), ids[changed], changes[changed]
+    else:
+        raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
 
-    out = xd.astype(np.int8)[inverse]
+    out = np.take(final, inverse, axis=0)  # several times faster than final[inverse]
     out.flags.writeable = False
     return out, sweeps[inverse], np.ones(x.shape[0], dtype=bool)
 

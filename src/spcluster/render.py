@@ -49,6 +49,11 @@ def render_text(rc: RearrangedChart) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would import urllib.request at CLI start
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(rc: RearrangedChart) -> str:
     chart = rc.chart
     L, N = chart.num_students, chart.num_problems
@@ -63,9 +68,9 @@ def render_svg(rc: RearrangedChart) -> str:
         '<style>text { font: 10px monospace; }</style>',
     ]
     for j, pid in enumerate(chart.problem_ids):
-        parts.append(f'<text x="{x0 + j * CELL + 3}" y="{y0 - 6}">{pid}</text>')
+        parts.append(f'<text x="{x0 + j * CELL + 3}" y="{y0 - 6}">{_escape(pid)}</text>')
     for i, sid in enumerate(chart.student_ids):
-        parts.append(f'<text x="4" y="{y0 + i * CELL + 14}">{sid}</text>')
+        parts.append(f'<text x="4" y="{y0 + i * CELL + 14}">{_escape(sid)}</text>')
     for i in range(L):
         for j in range(N):
             fill = "#444444" if chart.bits[i, j] else "#f0f0f0"

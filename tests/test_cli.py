@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -417,6 +418,19 @@ class TestInspect:
         assert svg.startswith("<svg ")
         assert svg.count("<polyline") == 2
         assert svg.count("<rect") == 4
+
+    def test_svg_escapes_ids(self, tmp_path):
+        bits = np.array([[1, 0], [1, 1]], dtype=np.int8)
+        chart = SPChart(bits, ("A&B", "<x>"), ("P&1", "P>2"))
+        path = tmp_path / "chart.csv"
+        path.write_text(spchart.chart_to_csv(chart))
+        out = tmp_path / "chart.svg"
+        assert run_cli(["inspect", "--input", str(path), "--format", "svg",
+                        "--output", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        rearranged = spchart.rearrange(spchart.parse_chart(path.read_text())).chart
+        assert texts == list(rearranged.problem_ids + rearranged.student_ids)
 
 
 @pytest.mark.parametrize(

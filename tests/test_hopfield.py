@@ -271,6 +271,11 @@ def repeated_rows(rng, n):
     return pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 16)))]
 
 
+def triangle(a, b):
+    """Weights on three units whose largest row sum of |w| is a + b."""
+    return np.array([[0, a, b], [a, 0, 1], [b, 1, 0]], dtype=np.int64)
+
+
 def assert_matches_scalar(starts, w):
     terminal, sweeps, _ = converge_many(starts, w)
     for k, start in enumerate(starts):
@@ -299,11 +304,26 @@ class TestConvergeManyAgainstScalar:
         upper = np.triu(rng.integers(-scale, scale + 1, size=(n, n)), 1)
         assert_matches_scalar(repeated_rows(rng, n), upper + upper.T)
 
-    @pytest.mark.parametrize("a", [2**24, 2**51])
+    @pytest.mark.parametrize("a", [2**24, 2**50])
     def test_weights_that_float32_would_round(self, a):
         # a + 1 is not a float32, so a float32 field a - (a + 1) would read 0
-        w = np.array([[0, a, a + 1], [a, 0, 1], [a + 1, 1, 0]], dtype=np.int64)
-        assert_matches_scalar(all_states(3), w)
+        assert_matches_scalar(all_states(3), triangle(a, a + 1))
+
+    @pytest.mark.parametrize(
+        "a, b, dtype",
+        [(2**22 - 1, 2**22, np.float32), (2**22, 2**22, np.float64), (2**51 - 1, 2**51, np.float64)],
+        ids=["2^23-1", "2^23", "2^52-1"],
+    )
+    def test_field_dtype_follows_row_sums(self, monkeypatch, a, b, dtype):
+        dot, seen = np.dot, set()
+
+        def spy(u, v, out=None):
+            seen.add(u.dtype)
+            return dot(u, v, out=out)
+
+        monkeypatch.setattr(hopfield.np, "dot", spy)
+        assert_matches_scalar(all_states(3), triangle(a, b))
+        assert seen == {np.dtype(dtype)}
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
@@ -334,6 +354,26 @@ class TestConvergeManyAgainstScalar:
         w = np.array([[0, 2**52, 2**52], [2**52, 0, 0], [2**52, 0, 0]], dtype=np.int64)
         with pytest.raises(hopfield.NetworkError):
             converge_many(all_states(3), w)
+
+    @pytest.mark.parametrize("a, b", [(2**51, 2**51), (2**51, 2**51 + 1)], ids=["2^52", "2^52+1"])
+    def test_half_inexact_fields_are_refused(self, a, b):
+        w = triangle(a, b)
+        with pytest.raises(hopfield.NetworkError):
+            converge_many(all_states(3), w)
+        # the integer scalar kernel still relaxes them
+        for state in all_states(3):
+            converge(state, w)
+
+    def test_output_contract(self):
+        w = hebbian_learn([[1, 0, 1]])
+        terminal, sweeps, converged = converge_many(np.empty((0, 3), dtype=np.int8), w)
+        assert (terminal.shape, terminal.dtype) == ((0, 3), np.int8)
+        assert (sweeps.shape, sweeps.dtype) == ((0,), np.int64)
+        assert converged.shape == (0,)
+        terminal, _, _ = converge_many(all_states(3), w)
+        assert terminal.dtype == np.int8
+        with pytest.raises(ValueError):
+            terminal[0, 0] = 1
 
     @pytest.mark.parametrize(
         "states, w",
