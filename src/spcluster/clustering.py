@@ -83,10 +83,32 @@ class TrialReport:
     sweeps_histogram: dict[int, int]
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a counter stream whose
+# state advances by _GAMMA and whose words are the state passed through _mix
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's finaliser, a bijection on 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Derive trial t's seed from (master_seed, t); order-independent."""
-    seq = np.random.SeedSequence((master_seed, trial_index))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Trial t's 64-bit seed, derived from (master_seed, t) alone.
+
+    Starting from h = 0, each 64-bit limb of the master seed (least
+    significant first; a seed below 2^64 is one limb) and then t, a trial
+    index below 2^64, is folded in as h = mix((h xor word) + gamma).
+    """
+    if master_seed < 0:  # -1 would fold like 2^64 - 1
+        raise ClusteringError("master seed must be non-negative")
+    h = 0
+    for shift in range(0, max(master_seed.bit_length(), 1), 64):
+        h = _mix(((h ^ ((master_seed >> shift) & _MASK)) + _GAMMA) & _MASK)
+    return _mix(((h ^ trial_index) + _GAMMA) & _MASK)
 
 
 def _check_m(m: int, students: int) -> None:
@@ -96,10 +118,37 @@ def _check_m(m: int, students: int) -> None:
         raise MTooLarge(m, students)
 
 
-def select_representatives(chart: SPChart, m: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw m distinct student indices uniformly without replacement."""
+def _draw(population: int, m: int, seed: int) -> tuple[int, ...]:
+    """m distinct indices below ``population``, uniform over m-subsets.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987) over the SplitMix64
+    stream whose state starts at ``seed``: for j from population - m up
+    to population - 1 take t uniform in [0, j], and add j if t is
+    already taken, else t.  t is the next word below the largest
+    multiple of j + 1 not above 2^64, modulo j + 1; the words skipped
+    would make low residues likelier.  Indices come in the order they
+    were added.  O(m) Python steps.
+    """
+    state = seed
+    taken: dict[int, None] = {}  # an insertion-ordered set
+    for j in range(population - m, population):
+        n = j + 1
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            state = (state + _GAMMA) & _MASK
+            word = _mix(state)
+            if word < limit:
+                break
+        t = word % n
+        taken[j if t in taken else t] = None
+    return tuple(taken)
+
+
+def select_representatives(chart: SPChart, m: int, seed: int) -> tuple[int, ...]:
+    """Draw m distinct student indices uniformly without replacement,
+    from the 64-bit ``seed`` (``_draw``)."""
     _check_m(m, chart.num_students)
-    return tuple(int(i) for i in rng.choice(chart.num_students, size=m, replace=False))
+    return _draw(chart.num_students, m, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +292,7 @@ def score_baseline(chart: SPChart, m: int) -> TrialReport:
 
 def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialSummary:
     seed = trial_seed(master_seed, t)
-    reps = select_representatives(rows.chart, m, np.random.default_rng(seed))
+    reps = select_representatives(rows.chart, m, seed)
     _, _, sizes, (gammas, _), _ = _trial(rows, reps)
     return _summary(t, seed, m, sizes, gammas)
 
@@ -302,7 +351,7 @@ def run_trials(
     best = min(summaries, key=lambda s: (s.f2, s.f1, s.trial_index))
 
     # rebuild the winning trial in full: member lists and convergence statistics
-    reps = select_representatives(chart, m, np.random.default_rng(best.seed))
+    reps = select_representatives(chart, m, best.seed)
     clustering, sweeps = _cluster_with_sweeps(rows, reps)
     values, counts = np.unique(sweeps, return_counts=True)
     histogram = {int(v): int(c) for v, c in zip(values, counts)}

@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from math import isfinite
+from operator import itemgetter
+
+import numpy as np
 
 from . import spchart
 from .clustering import TrialReport, TrialSummary
 from .spchart import SPChart
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 _encode = JSONEncoder().encode  # None, bools, NaN, infinities, subclasses
 _TRIAL_KEYS = ("trial", "seed", "f1", "f2", "clusters")  # a row of the trials table
 
@@ -24,13 +27,14 @@ def _cluster_entry(chart: SPChart, cluster, label: str) -> dict:
     # an exact ratio, correctly rounded: the float mean of the members' bits
     rate = cluster.correct / (cluster.size * chart.num_problems)
     point = cluster.fixed_point
+    ids = itemgetter(*cluster.member_indices)(chart.student_ids)  # one member: a bare id
     return {
         "label": label,
         "size": cluster.size,
         "gamma": cluster.gamma,
         "fixed_point": None if point is None else "".join(map(str, point)),
         "chart_type": spchart.classify_rate(rate).value,
-        "student_ids": list(map(chart.student_ids.__getitem__, cluster.member_indices)),
+        "student_ids": list(ids) if cluster.size > 1 else [ids],
     }
 
 
@@ -43,6 +47,10 @@ def build_cluster_report(
 ) -> dict:
     chart = best.clustering.chart
     won = best.summary
+    # one pass gives both chart figures; the counts' total over L * N is a
+    # correctly rounded ratio of exact integers, the float chart.bits.mean() is
+    counts = chart.bits.sum(axis=0, dtype=np.int64)
+    caution = spchart.caution_from_counts(counts[None, :], [chart.num_students])[0]
     return {
         "format_version": FORMAT_VERSION,
         "command": command,
@@ -51,8 +59,8 @@ def build_cluster_report(
         "chart": {
             "students": chart.num_students,
             "problems": chart.num_problems,
-            "chart_type": spchart.classify_type(chart).value,
-            "average_caution": spchart.average_caution(chart),
+            "chart_type": spchart.classify_rate(int(counts.sum()) / chart.bits.size).value,
+            "average_caution": caution,
         },
         "f1": won.f1,
         "f2": won.f2,

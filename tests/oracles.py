@@ -5,8 +5,9 @@ A 10-unit network with known behaviour: four representative score
 vectors, the exact weight matrix correlation learning must produce for
 them, and the complete fixed-point set of that network (four states,
 found by an exhaustive scan over all 2^10 states).  Also the exhaustive
-fixed-point scan itself and the paper's per-student correct rates and
-caution index.
+fixed-point scan itself, the paper's per-student correct rates and
+caution index, and the trial seeds and representative draws written out
+from their published definitions in numpy uint64 arithmetic.
 """
 
 import numpy as np
@@ -91,3 +92,48 @@ def caution_index(row, rates) -> float:
     if bits.shape != mu.shape:
         raise LengthMismatch(mu.shape[0] if mu.ndim else 0, bits.shape[0] if bits.ndim else 0)
     return float(np.abs(bits - mu).mean())
+
+
+# SplitMix64 as in Vigna's splitmix64.c: add the golden gamma to the
+# state, then mix; uint64 array arithmetic wraps modulo 2^64
+GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def splitmix64_mix(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_words(state: int):
+    """The endless SplitMix64 stream from ``state``, as Python ints."""
+    z = np.array([state], dtype=np.uint64)
+    while True:
+        z = z + GOLDEN_GAMMA
+        yield int(splitmix64_mix(z)[0])
+
+
+def reference_trial_seed(master_seed: int, trial_index: int) -> int:
+    """h = mix((h xor word) + gamma) over the master seed's 64-bit limbs,
+    least significant first, and then the trial index, from h = 0."""
+    size = 8 * max(1, -(-master_seed.bit_length() // 64))
+    limbs = np.frombuffer(master_seed.to_bytes(size, "little"), dtype="<u8")
+    h = np.zeros(1, dtype=np.uint64)
+    for word in [*limbs, np.uint64(trial_index)]:
+        h = splitmix64_mix((h ^ word) + GOLDEN_GAMMA)
+    return int(h[0])
+
+
+def reference_draw(population: int, m: int, seed: int) -> list[int]:
+    """Floyd's sample of m indices below ``population`` from the stream at
+    ``seed``: for each j from population - m on, a uniform t in [0, j]
+    (j itself if t was taken) in the order chosen.  A word is used only
+    when its whole block of j + 1 residues lies below 2^64."""
+    words = splitmix64_words(seed)
+    chosen: list[int] = []
+    for j in range(population - m, population):
+        n = j + 1
+        word = next(w for w in words if w - w % n + n <= 2**64)
+        t = word % n
+        chosen.append(j if t in chosen else t)
+    return chosen

@@ -155,7 +155,7 @@ class TestCluster:
         assert out1.read_bytes() == out2.read_bytes()
 
         doc = json.loads(out1.read_text())
-        assert doc["format_version"] == "2"
+        assert doc["format_version"] == "3"
         assert doc["input_digest"].startswith("sha256:")
         assert doc["parameters"]["clusters"] == 4
         assert len(doc["trials"]) == 60
@@ -170,8 +170,11 @@ class TestCluster:
                 "--trials", "20", "--seed", "3", "--output", str(out)]
         assert run_cli(args) == 0
         chart = spchart.parse_chart(generated_chart.read_bytes())
+        doc = json.loads(out.read_text())
+        assert doc["chart"]["chart_type"] == spchart.classify_type(chart).value
+        assert doc["chart"]["average_caution"] == spchart.average_caution(chart)
         by_id = {sid: i for i, sid in enumerate(chart.student_ids)}
-        for entry in json.loads(out.read_text())["best_trial"]["clusters"]:
+        for entry in doc["best_trial"]["clusters"]:
             sub = spchart.take_rows(chart, [by_id[sid] for sid in entry["student_ids"]])
             assert entry["chart_type"] == spchart.classify_type(sub).value
 
@@ -195,7 +198,7 @@ class TestCluster:
         # recorded from this exact (chart, seed, trials) run: minimizing the
         # caution cost favors many small homogeneous clusters on unstructured
         # synthetic data, so the winner realizes far more than 4 clusters
-        assert len(doc["best_trial"]["clusters"]) == 16
+        assert len(doc["best_trial"]["clusters"]) == 15
         assert doc["f2"] <= doc["chart"]["average_caution"]
 
     def test_emit_charts(self, generated_chart, tmp_path):
@@ -457,6 +460,31 @@ def test_bad_parameters_print_one_error_line_and_exit_two(argv, generated_chart,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--input", "{chart}", "--clusters", "3", "--trials", "5", "--seed", "1",
+         "--output", "{tmp}/r.json"],
+        ["baseline", "--input", "{chart}", "--clusters", "3", "--output", "{tmp}/b.json"],
+        ["inspect", "--input", "{chart}"],
+    ],
+)
+def test_commands_never_import_numpy_random(argv, generated_chart, tmp_path):
+    # the trial seeds and draws are the package's own, so a run does not
+    # pay for importing numpy.random
+    argv = [a.format(tmp=tmp_path, chart=generated_chart) for a in argv]
+    script = (
+        "import sys\nfrom spcluster import cli\ncode = cli.main(sys.argv[1:])\n"
+        "print('numpy.random' in sys.modules)\nsys.exit(code)"
+    )
+    src = str(Path(spcluster.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestRendering:

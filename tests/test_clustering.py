@@ -20,7 +20,14 @@ from spcluster.clustering import (
 )
 from spcluster.datagen import GenSpec
 
-from oracles import REFERENCE_FIXED_POINTS, REFERENCE_PATTERNS, enumerate_fixed_points
+from oracles import (
+    REFERENCE_FIXED_POINTS,
+    REFERENCE_PATTERNS,
+    enumerate_fixed_points,
+    reference_draw,
+    reference_trial_seed,
+    splitmix64_words,
+)
 
 
 def chart_of(rows):
@@ -36,6 +43,11 @@ def random_chart(rng, max_students=40, max_problems=10):
     L = int(rng.integers(2, max_students + 1))
     N = int(rng.integers(2, max_problems + 1))
     return chart_of(rng.integers(0, 2, size=(L, N)))
+
+
+def seed_from(rng):
+    """A 64-bit draw seed taken from a numpy generator."""
+    return int(rng.integers(2**64, dtype=np.uint64))
 
 
 def partition_by_basin(chart, rep_indices):
@@ -77,30 +89,112 @@ def scored_partition(bits, labels):
 class TestSelectRepresentatives:
     def test_full_draw_is_a_permutation(self):
         chart = chart_of(np.eye(6, dtype=np.int8))
-        reps = select_representatives(chart, 6, np.random.default_rng(0))
+        reps = select_representatives(chart, 6, 0)
         assert sorted(reps) == list(range(6))
 
     def test_same_seed_same_indices(self):
         chart = chart_of(np.eye(8, dtype=np.int8))
-        a = select_representatives(chart, 3, np.random.default_rng(42))
-        b = select_representatives(chart, 3, np.random.default_rng(42))
+        a = select_representatives(chart, 3, 42)
+        b = select_representatives(chart, 3, 42)
         assert a == b
 
     def test_m_too_large(self):
         chart = chart_of([[1, 0]])
         with pytest.raises(MTooLarge):
-            select_representatives(chart, 2, np.random.default_rng(0))
+            select_representatives(chart, 2, 0)
 
     def test_uniformity_within_three_sigma(self):
         chart = chart_of(np.zeros((10, 2), dtype=np.int8) + np.eye(10, 2, dtype=np.int8))
-        rng = np.random.default_rng(123)
         draws = 100_000
         counts = np.zeros(10, dtype=int)
-        for _ in range(draws):
-            counts[select_representatives(chart, 1, rng)[0]] += 1
+        for t in range(draws):
+            counts[select_representatives(chart, 1, trial_seed(123, t))[0]] += 1
         expected = draws / 10
         sigma = np.sqrt(draws * 0.1 * 0.9)
         assert (np.abs(counts - expected) <= 3 * sigma).all()
+
+    def test_every_pair_equally_likely(self):
+        # chi-square over all 10 two-subsets of 5 students, not only the
+        # single-index marginals; 27.88 is the 0.1% point for 9 degrees of freedom
+        chart = chart_of(np.eye(5, dtype=np.int8))
+        draws = 50_000
+        counts = {}
+        for t in range(draws):
+            pair = frozenset(select_representatives(chart, 2, trial_seed(2024, t)))
+            counts[pair] = counts.get(pair, 0) + 1
+        assert len(counts) == 10
+        expected = draws / 10
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 27.88
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), st.integers(1, 300), st.integers(0, 2**64 - 1))
+    def test_matches_the_reference_draw(self, data, students, seed):
+        m = data.draw(st.integers(1, students))
+        chart = chart_of(np.zeros((students, 1), dtype=np.int8))
+        assert select_representatives(chart, m, seed) == tuple(reference_draw(students, m, seed))
+
+    @pytest.mark.parametrize(
+        "seed, students, m, expected",
+        [
+            (0, 10, 4, (2, 4, 1, 9)),
+            (1, 5, 2, (1, 4)),
+            (2**64 - 1, 100, 8, (17, 87, 91, 18, 15, 75, 28, 16)),
+            (13309476754707697221, 1000, 4, (429, 590, 328, 236)),
+        ],
+    )
+    def test_recorded_draws(self, seed, students, m, expected):
+        chart = chart_of(np.zeros((students, 1), dtype=np.int8))
+        assert select_representatives(chart, m, seed) == expected
+
+    @pytest.mark.parametrize("population, rejected", [(2**63 + 1, 0.5), (3 * 2**62, 0.25)])
+    def test_rejects_words_above_the_last_whole_block(self, population, rejected):
+        # words at or above the largest multiple of the population that
+        # fits below 2^64 would favour the low indices and are drawn again;
+        # these populations reject about half and a quarter of all words
+        limit = 2**64 - 2**64 % population
+        first_rejected = 0
+        for seed in range(400):
+            first_rejected += next(splitmix64_words(seed)) >= limit
+            expected = reference_draw(population, 1, seed)
+            assert clustering._draw(population, 1, seed) == tuple(expected)
+        assert abs(first_rejected / 400 - rejected) < 0.1
+
+
+class TestTrialSeed:
+    def test_reference_stream_is_splitmix64(self):
+        # the first outputs of splitmix64.c seeded with 0 and with 1234567
+        zero, other = splitmix64_words(0), splitmix64_words(1234567)
+        assert [next(zero) for _ in range(2)] == [16294208416658607535, 7960286522194355700]
+        assert [next(other) for _ in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 2**64 - 1) | st.integers(2**64 - 2, 2**64 + 2) | st.integers(0, 2**200),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_the_reference(self, master, t):
+        assert trial_seed(master, t) == reference_trial_seed(master, t)
+
+    @pytest.mark.parametrize(
+        "master, t, expected",
+        [
+            (0, 0, 12035550249420947055),
+            (0, 1, 627405149472732430),
+            (7, 0, 13309476754707697221),
+            (2**64 - 1, 9999, 11247658685407344575),
+            (2**64, 0, 4964578127960768432),
+            (2**130 + 5, 3, 3287173576750475766),
+        ],
+    )
+    def test_recorded_seeds(self, master, t, expected):
+        assert trial_seed(master, t) == expected
+
+    def test_negative_master_seed_is_refused(self):
+        with pytest.raises(clustering.ClusteringError):
+            trial_seed(-1, 0)
 
 
 class TestRnnCluster:
@@ -126,7 +220,7 @@ class TestRnnCluster:
         for _ in range(15):
             chart = random_chart(rng)
             m = int(rng.integers(1, min(5, chart.num_students) + 1))
-            reps = select_representatives(chart, m, rng)
+            reps = select_representatives(chart, m, seed_from(rng))
             result = rnn_cluster(chart, reps)
             ours = {frozenset(c.member_indices) for c in result.clusters}
             assert ours == partition_by_basin(chart, reps)
@@ -135,7 +229,7 @@ class TestRnnCluster:
         rng = np.random.default_rng(7)
         for _ in range(25):
             chart = random_chart(rng)
-            reps = select_representatives(chart, 2, rng)
+            reps = select_representatives(chart, 2, seed_from(rng))
             result = rnn_cluster(chart, reps)
             seen = [i for c in result.clusters for i in c.member_indices]
             assert sorted(seen) == list(range(chart.num_students))
@@ -145,7 +239,7 @@ class TestRnnCluster:
         rng = np.random.default_rng(13)
         for _ in range(10):
             chart = random_chart(rng, max_students=20, max_problems=8)
-            reps = select_representatives(chart, 3, rng)
+            reps = select_representatives(chart, 3, seed_from(rng))
             result = rnn_cluster(chart, reps)
             w = hopfield.hebbian_learn(chart.bits[list(reps)])
             assert len(result.clusters) <= len(enumerate_fixed_points(w))
@@ -153,7 +247,7 @@ class TestRnnCluster:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         chart = random_chart(rng)
-        reps = select_representatives(chart, 3, rng)
+        reps = select_representatives(chart, 3, seed_from(rng))
         a = rnn_cluster(chart, reps)
         b = rnn_cluster(chart, reps)
         assert [c.member_indices for c in a.clusters] == [c.member_indices for c in b.clusters]
@@ -169,7 +263,7 @@ class TestRnnCluster:
            st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_matches_dict_grouping_reference(self, chart_type, students, problems, m, seed):
         chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
-        reps = select_representatives(chart, min(m, students), np.random.default_rng(seed))
+        reps = select_representatives(chart, min(m, students), seed)
         result = rnn_cluster(chart, reps)
         expected = reference_clusters(chart, reps)
         assert [c.member_indices for c in result.clusters] == [e[0] for e in expected]
@@ -272,7 +366,7 @@ class TestTrialScoring:
         m = min(m, students)
         best, summaries = run_trials(chart, m, 4, master_seed=seed)
         for s in summaries:
-            reps = select_representatives(chart, m, np.random.default_rng(s.seed))
+            reps = select_representatives(chart, m, s.seed)
             expected = reference_clusters(chart, reps)
             assert (s.f1, s.n_clusters) == (f1([len(e[0]) for e in expected], m), len(expected))
             assert s.f2 == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
@@ -289,7 +383,7 @@ class TestTrialScoring:
         # give two clusters of one student each
         chart = chart_of([[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0]])
         _, summaries = run_trials(chart, 2, 1, master_seed=0)
-        reps = select_representatives(chart, 2, np.random.default_rng(summaries[0].seed))
+        reps = select_representatives(chart, 2, summaries[0].seed)
         expected = reference_clusters(chart, reps)
         assert [len(e[0]) for e in expected] == [3, 1]
         assert summaries[0].f1 == f1([3, 1], 2)

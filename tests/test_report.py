@@ -110,7 +110,7 @@ def test_cli_reports_are_what_json_dumps_writes(kind, tmp_path, monkeypatch):
 BASELINE_CHART = "id,P1,P2,P3,P4\nS1,1,1,0,1\nS2,0,1,0,0\nS3,1,0,1,1\nS4,0,0,0,1\nS5,1,1,1,1\n"
 BASELINE_REPORT = """\
 {
-  "format_version": "2",
+  "format_version": "3",
   "command": "baseline",
   "input_digest": "sha256:4d7d876a29f3c4735f7c89e07247c9dded7a01e4f5e9b69199c751405c953cc5",
   "parameters": {
@@ -189,13 +189,13 @@ CLUSTER_CHART = (
 )
 CLUSTER_REPORT = """\
 {
-  "format_version": "2",
+  "format_version": "3",
   "command": "cluster",
   "input_digest": "sha256:ef98aa75896e97360537b0b756b96fdce8bfb05aceccfa6f63e0a3b7cb6606d7",
   "parameters": {
     "clusters": 2,
     "trials": 3,
-    "seed": 5,
+    "seed": 7,
     "drill_threshold": 0.65,
     "pretest_threshold": 0.35
   },
@@ -209,34 +209,34 @@ CLUSTER_REPORT = """\
   "f2": 0.2,
   "best_trial": {
     "trial_index": 2,
-    "seed": 4160164373342109173,
+    "seed": 5090977316425868581,
     "f1": 0.42857142857142855,
     "f2": 0.2,
     "representatives": [
-      "S2",
-      "S4"
+      "S4",
+      "S1"
     ],
     "sweeps_histogram": {
-      "1": 2,
-      "2": 5
+      "1": 3,
+      "2": 4
     },
     "clusters": [
       {
         "label": "C1",
         "size": 2,
-        "gamma": 0.2,
-        "fixed_point": "00011",
-        "chart_type": "test",
+        "gamma": 0.1,
+        "fixed_point": "11011",
+        "chart_type": "drill",
         "student_ids": [
           "S1",
-          "S4"
+          "S5"
         ]
       },
       {
         "label": "C2",
         "size": 2,
         "gamma": 0.2,
-        "fixed_point": "01000",
+        "fixed_point": "11100",
         "chart_type": "test",
         "student_ids": [
           "S2",
@@ -247,7 +247,7 @@ CLUSTER_REPORT = """\
         "label": "C3",
         "size": 2,
         "gamma": 0.2,
-        "fixed_point": "11100",
+        "fixed_point": "00100",
         "chart_type": "test",
         "student_ids": [
           "S3",
@@ -258,10 +258,10 @@ CLUSTER_REPORT = """\
         "label": "C4",
         "size": 1,
         "gamma": 0.0,
-        "fixed_point": "10111",
-        "chart_type": "drill",
+        "fixed_point": "00011",
+        "chart_type": "test",
         "student_ids": [
-          "S5"
+          "S4"
         ]
       }
     ]
@@ -269,21 +269,21 @@ CLUSTER_REPORT = """\
   "trials": [
     {
       "trial": 0,
-      "seed": 12631478326263854183,
+      "seed": 13309476754707697221,
       "f1": 0.14285714285714285,
       "f2": 0.35555555555555557,
-      "clusters": 3
+      "clusters": 2
     },
     {
       "trial": 1,
-      "seed": 17996766564426832300,
-      "f1": 0.42857142857142855,
-      "f2": 0.4,
-      "clusters": 3
+      "seed": 4414019431610648415,
+      "f1": 0.7142857142857143,
+      "f2": 0.3,
+      "clusters": 4
     },
     {
       "trial": 2,
-      "seed": 4160164373342109173,
+      "seed": 5090977316425868581,
       "f1": 0.42857142857142855,
       "f2": 0.2,
       "clusters": 4
@@ -294,7 +294,7 @@ CLUSTER_REPORT = """\
 CLUSTER_STDOUT = """\
 Cluster       C1      C2      C3      C4
 Students       2       2       2       1
-Caution    0.200   0.200   0.200   0.000
+Caution    0.100   0.200   0.200   0.000
 f1 = 0.429  f2 = 0.200
 """
 
@@ -304,6 +304,6 @@ def test_cluster_report_bytes(tmp_path, capsys):
     chart, out = tmp_path / "chart.csv", tmp_path / "cluster.json"
     chart.write_text(CLUSTER_CHART)
     assert cli.main(["cluster", "--input", str(chart), "--clusters", "2", "--trials", "3",
-                     "--seed", "5", "--output", str(out)]) == 0
+                     "--seed", "7", "--output", str(out)]) == 0
     assert out.read_text() == CLUSTER_REPORT
     assert capsys.readouterr().out == CLUSTER_STDOUT
