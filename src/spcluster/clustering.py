@@ -199,8 +199,8 @@ def _trial(
     index, so numbering clusters by their first row numbers them by first
     discovery over student index.
     """
-    w = hopfield.hebbian_learn(rows.chart.bits[list(reps)])
-    terminal, sweeps, _ = hopfield.converge_many(rows.states, w, (rows.first, rows.inverse))
+    patterns = rows.chart.bits[list(reps)]
+    terminal, sweeps, _ = hopfield.converge_many(rows.states, patterns, (rows.first, rows.inverse))
     first, labels = hopfield.distinct_rows(terminal[rows.first])
     sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
     by_cluster = rows.weighted[np.argsort(labels, kind="stable")]

@@ -2,21 +2,19 @@
 
 States are length-N vectors over {-1, +1}.  One sweep updates components
 in fixed ascending order, each update seeing the components already
-updated earlier in the same sweep, with sgn(0) = +1.  For a symmetric,
-zero-diagonal integer connection matrix every trajectory reaches a fixed
-point within ``sweep_bound(w)`` sweeps.  The kernels validate the matrix
-eagerly and raise ``NetworkError`` if a state is still changing at that
-bound, so nonconvergence can never pass silently.
-
-The scalar ``sweep``/``converge`` use integer arithmetic and are the
-reference for the batch kernel ``converge_many``, whose float products,
-each a field plus 1/2, are exact half-integers (or the call is refused),
-so results are bit-reproducible.
+updated earlier in the same sweep, with sgn(0) = +1.  The network is the
+one correlation learning builds from M binary patterns
+(``hebbian_learn``): a symmetric, zero-diagonal integer matrix, under
+which every trajectory reaches a fixed point within ``sweep_bound(w)``
+sweeps.  ``converge_many`` relaxes a batch of states under the network
+of the patterns it is given and raises ``NetworkError`` if a state is
+still changing at that bound, so nonconvergence can never pass silently.
+Its float products, each a field plus 1/2, are exact half-integers, so
+results are bit-reproducible; the tests check it against a scalar
+integer reference.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,26 +31,6 @@ class NotSymmetric(NetworkError):
 class NonzeroDiagonal(NetworkError):
     def __init__(self) -> None:
         super().__init__("connection matrix must have a zero diagonal")
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceResult:
-    """Outcome of iterating sweeps from one initial state.
-
-    ``sweeps_used`` counts every sweep performed, including the final
-    confirming sweep that flips nothing; a fixed-point input therefore
-    reports 1.
-    """
-
-    fixed_point: np.ndarray
-    sweeps_used: int
-
-
-def _as_state(v) -> np.ndarray:
-    x = np.asarray(v)
-    if x.ndim != 1:
-        raise NetworkError("state must be a 1-D vector")
-    return x
 
 
 def bipolar_from_binary(v) -> np.ndarray:
@@ -89,6 +67,7 @@ def hebbian_learn(patterns) -> np.ndarray:
     return w
 
 
+# the tests' scalar converge validates with it; it stays here as bench/tracer.py wraps it
 def check_weights(w: np.ndarray) -> np.ndarray:
     """Validate the fixed-point convergence condition; returns w."""
     w = np.asarray(w)
@@ -101,46 +80,7 @@ def check_weights(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def sweep(state, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One full pass updating components 0..N-1 in order.
-
-    Each update sees the components already rewritten earlier in this
-    pass.  sgn(0) = +1.  Returns the new state and whether anything
-    flipped.
-    """
-    x = _as_state(state).astype(np.int64).copy()
-    w = np.asarray(w)
-    changed = False
-    for j in range(x.shape[0]):
-        new = 1 if w[j] @ x >= 0 else -1
-        if new != x[j]:
-            changed = True
-            x[j] = new
-    out = x.astype(np.int8)
-    out.flags.writeable = False
-    return out, changed
-
-
-def _abs_row_sums(w: np.ndarray) -> np.ndarray:
-    """Row sums of |w| for an integer matrix, exact as float64.
-
-    A field is a sum of +-w_jk, so it and every partial sum are integers
-    of magnitude at most its row's sum.  Raises ``NetworkError`` for
-    non-integer entries and for row sums of 2^53 or more, which float64
-    cannot hold exactly.
-    """
-    if w.dtype.kind not in "biu" and not np.array_equal(w, np.trunc(w)):
-        raise NetworkError("connection matrix entries must be integers")
-    # converted to float before abs so that the int64 minimum cannot wrap;
-    # the float sum only rounds once it has already reached 2^53
-    sums = np.abs(w.astype(np.float64)).sum(axis=1)
-    bound = sums.max(initial=0.0)
-    if bound >= 2.0**53:
-        raise NetworkError(f"fields up to {bound:.3g} are not exact in float64")
-    return sums
-
-
-def sweep_bound(w: np.ndarray, abs_row_sums: np.ndarray | None = None) -> int:
+def sweep_bound(w: np.ndarray) -> int:
     """Sweeps that relaxation under w needs at most, from any start:
     S + N + 1, where S = sum_ij |w_ij|.
 
@@ -158,30 +98,12 @@ def sweep_bound(w: np.ndarray, abs_row_sums: np.ndarray | None = None) -> int:
       most S + N sweeps change it, and one more confirms the fixed point.
 
     The bound is exact for w = [[0]] from [-1]: one flip, then the
-    confirming sweep.  ``abs_row_sums`` are the row sums of |w| from
-    ``_abs_row_sums``, passed by a caller that already holds them.
+    confirming sweep.  ``w`` is an integer array whose row sums of |w|
+    fit in int64; Hebbian weights from M patterns have row sums of at
+    most M (N - 1).
     """
-    if abs_row_sums is None:
-        abs_row_sums = _abs_row_sums(np.asarray(w))
-    # each row sum is an exact integer below 2^53; their total may not be
-    return sum(int(v) for v in abs_row_sums.tolist()) + len(abs_row_sums) + 1
-
-
-def converge(state0, w: np.ndarray) -> ConvergenceResult:
-    """Iterate sweeps until a sweep flips nothing.
-
-    Requires a symmetric zero-diagonal integer matrix, for which that
-    happens within ``sweep_bound(w)`` sweeps; a state still changing after
-    that many raises ``NetworkError``.
-    """
-    w = check_weights(w)
-    x = _as_state(state0)
-    budget = sweep_bound(w)
-    for s in range(1, budget + 1):
-        x, changed = sweep(x, w)
-        if not changed:
-            return ConvergenceResult(x, s)
-    raise NetworkError(f"state still changing after {budget} sweeps")
+    # each row sum is exact in int64; their total is summed as Python ints
+    return sum(np.abs(w).sum(axis=1).tolist()) + w.shape[0] + 1
 
 
 def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
@@ -209,42 +131,46 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
 
 
 def converge_many(
-    states, w: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+    states, patterns, rows: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch variant of ``converge`` over rows of a B x N state matrix.
+    """Relax every row of a B x N state matrix under the network that
+    ``hebbian_learn`` builds from the M x N binary ``patterns``.
 
-    Row trajectories are independent, so this is exactly ``converge``
-    applied per row.  Equal rows share a trajectory, so only the distinct
-    rows are relaxed and their results are copied to every duplicate.
-    ``rows`` is ``distinct_rows(states)``, possibly with the distinct rows
-    reordered; a caller relaxing the same states under many matrices
-    passes it to group them once.
+    Each row is swept until a sweep flips nothing; rows do not interact.
+    Equal rows share a trajectory, so only the distinct rows are relaxed
+    and their results are copied to every duplicate.  ``rows`` is
+    ``distinct_rows(states)``, possibly with the distinct rows reordered;
+    a caller relaxing the same states under many networks passes it to
+    group them once.
+
     A unit update is one float product of [w_j, 1/2] with every state (the
-    columns of a matrix over a row of ones): each field plus 1/2, exact as
-    float32 for row sums of |w| below 2^23 and as float64 below 2^52.
-    Returns the read-only int8 terminal states, per-row sweep counts, and
-    a per-row convergence flag that is always True, since every row
-    settles within ``sweep_bound(w)`` sweeps or the call raises
-    ``NetworkError``.  Also raises ``NetworkError`` for entries other than
-    -1/+1, for non-integer weights, and for row sums of 2^52 or more.
+    columns of a matrix over a row of ones): each field plus 1/2.  Every
+    partial sum of it is a multiple of 1/2 of magnitude at most the row
+    sum of |w| plus 1/2, and Hebbian row sums are at most M (N - 1), since
+    |w_jk| <= M.  So the products are exact in float32 when
+    M (N - 1) < 2^23, and else in float64, which holds every multiple of
+    1/2 below 2^52.  M (N - 1) cannot reach 2^52: ``hebbian_learn`` holds
+    the patterns as int64, 8 M N bytes, which would then be 32 PiB.
+
+    Returns the read-only int8 terminal states, per-row sweep counts
+    (counting the final sweep that flips nothing), and a per-row
+    convergence flag that is always True, since every row settles within
+    ``sweep_bound(w)`` sweeps or the call raises ``NetworkError``.  Also
+    raises ``NetworkError`` for patterns that are not binary, for states
+    that are not -1/+1 rows of the patterns' width, and for ``rows`` that
+    do not group the states.
     """
-    w = check_weights(w)
+    w = hebbian_learn(patterns)
+    m, n = len(patterns), w.shape[0]
     x = np.asarray(states)
     if x.ndim != 2:
         raise NetworkError("states must form a B x N matrix")
-    n = x.shape[1]
-    if w.shape[0] != n:
-        raise NetworkError(f"states have {n} components but matrix is {w.shape[0]} wide")
+    if x.shape[1] != n:
+        raise NetworkError(f"states have {x.shape[1]} components but patterns have {n}")
     if not ((x == 1) | (x == -1)).all():
         raise NetworkError("state entries must all be -1 or +1")
-    row_sums = _abs_row_sums(w)
-    budget = sweep_bound(w, row_sums)
-    # each partial sum of a field plus 1/2 is a multiple of 1/2 of magnitude
-    # at most the row sum plus 1/2: exact in float32 below 2^23
-    bound = row_sums.max(initial=0.0)
-    if bound >= 2.0**52:
-        raise NetworkError(f"fields up to {bound:.3g} are not exact to 1/2 in float64")
-    dtype = np.float32 if bound < 2.0**23 else np.float64
+    budget = sweep_bound(w)
+    dtype = np.float32 if m * (n - 1) < 2**23 else np.float64
 
     first, inverse = distinct_rows(x) if rows is None else rows
     if inverse.shape != (x.shape[0],) or (inverse[first] != np.arange(first.size)).any():
@@ -281,10 +207,4 @@ def converge_many(
     out = np.take(final, inverse, axis=0)  # several times faster than final[inverse]
     out.flags.writeable = False
     return out, sweeps[inverse], np.ones(x.shape[0], dtype=bool)
-
-
-def energy(state, w: np.ndarray) -> float:
-    """Quadratic diagnostic E = -1/2 * x' W x, non-increasing along sweeps."""
-    x = _as_state(state).astype(np.int64)
-    return float(-0.5 * (x @ np.asarray(w) @ x))
 

@@ -169,7 +169,8 @@ def _line(codes: np.ndarray, start: int = 0, end: int | None = None) -> str:
 def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``raw`` with each CRLF and bare CR as "\\n", framed by two "\\n",
     and the start and end of each non-blank line in it, or None if it holds
-    a quote or NUL, or a line over ``csv.field_size_limit()`` bytes.
+    a quote or NUL, a line over ``csv.field_size_limit()`` bytes, or a
+    non-blank line after the first that ends in a ``_MAYBE_BLANK`` byte.
     Without those, ``csv.reader`` makes one record of each line, which
     "\\n", "\\r\\n" or "\\r" ends (``str.splitlines`` would also break at
     "\\x85" and others), split at every comma.  None of these bytes occurs
@@ -184,9 +185,15 @@ def _plain_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
     starts, ends = breaks[:-1] + 1, breaks[1:]
     if (ends - starts > csv.field_size_limit()).any():  # no real chart has such a line
         return None
-    keep = np.ones(ends.size, dtype=bool)
-    for i in np.flatnonzero(_MAYBE_BLANK[codes[ends - 1]]).tolist():  # an empty line ends in "\\n"
-        keep[i] = bool(_line(codes, starts[i], ends[i]).replace(",", "").strip())
+    maybe_blank = _MAYBE_BLANK[codes[ends - 1]]  # an empty line ends in "\\n"
+    keep = ~maybe_blank
+    for i in np.flatnonzero(maybe_blank).tolist():
+        if _line(codes, starts[i], ends[i]).replace(",", "").strip():
+            # a data line's window ends in a digit, so only the first
+            # non-blank line, a header, can end in such a byte and be read
+            if keep[:i].any():
+                return None
+            keep[i] = True
     return codes, starts[keep], ends[keep]
 
 

@@ -5,13 +5,19 @@ A 10-unit network with known behaviour: four representative score
 vectors, the exact weight matrix correlation learning must produce for
 them, and the complete fixed-point set of that network (four states,
 found by an exhaustive scan over all 2^10 states).  Also the exhaustive
-fixed-point scan itself, the paper's per-student correct rates and
-caution index, and the trial seeds and representative draws written out
-from their published definitions in numpy uint64 arithmetic.
+fixed-point scan itself, the scalar integer relaxation and energy that
+``hopfield.converge_many`` is checked against, the paper's per-student
+correct rates and caution index, and the trial seeds and representative
+draws written out from their published definitions in numpy uint64
+arithmetic.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from spcluster import hopfield
+from spcluster.hopfield import NetworkError, check_weights
 from spcluster.spchart import LengthMismatch, SPChart
 
 REFERENCE_PATTERNS: tuple[tuple[int, ...], ...] = (
@@ -72,6 +78,81 @@ def enumerate_fixed_points(w: np.ndarray) -> list[np.ndarray]:
             row.flags.writeable = False
             found.append(row)
     return found
+
+
+@dataclass(frozen=True, eq=False)
+class ConvergenceResult:
+    """Outcome of iterating sweeps from one initial state.
+
+    ``sweeps_used`` counts every sweep performed, including the final
+    confirming sweep that flips nothing; a fixed-point input therefore
+    reports 1.
+    """
+
+    fixed_point: np.ndarray
+    sweeps_used: int
+
+
+def _as_state(v) -> np.ndarray:
+    x = np.asarray(v)
+    if x.ndim != 1:
+        raise NetworkError("state must be a 1-D vector")
+    return x
+
+
+def sweep(state, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One full pass updating components 0..N-1 in order.
+
+    Each update sees the components already rewritten earlier in this
+    pass.  sgn(0) = +1.  Returns the new state and whether anything
+    flipped.
+    """
+    x = _as_state(state).astype(np.int64).copy()
+    w = np.asarray(w)
+    changed = False
+    for j in range(x.shape[0]):
+        new = 1 if w[j] @ x >= 0 else -1
+        if new != x[j]:
+            changed = True
+            x[j] = new
+    out = x.astype(np.int8)
+    out.flags.writeable = False
+    return out, changed
+
+
+def converge(state0, w: np.ndarray) -> ConvergenceResult:
+    """Iterate sweeps until a sweep flips nothing.
+
+    Takes any symmetric zero-diagonal integer matrix, not only Hebbian
+    weights.  Under such a matrix that happens within
+    ``hopfield.sweep_bound(w)`` sweeps; a state still changing after that
+    many raises ``NetworkError``.  Also refuses non-integer entries, for
+    which that is no bound, and row sums of |w| of 2^53 or more, which the
+    float64 sum that checks them cannot hold exactly; below that every
+    int64 field is exact.
+    """
+    w = check_weights(w)
+    if w.dtype.kind not in "biu" and not np.array_equal(w, np.trunc(w)):
+        raise NetworkError("connection matrix entries must be integers")
+    # converted to float before abs so that the int64 minimum cannot wrap;
+    # the float sum only rounds once it has already reached 2^53
+    bound = np.abs(w.astype(np.float64)).sum(axis=1).max(initial=0.0)
+    if bound >= 2.0**53:
+        raise NetworkError(f"fields up to {bound:.3g} are not exact in float64")
+    w = w.astype(np.int64)
+    x = _as_state(state0)
+    budget = hopfield.sweep_bound(w)
+    for s in range(1, budget + 1):
+        x, changed = sweep(x, w)
+        if not changed:
+            return ConvergenceResult(x, s)
+    raise NetworkError(f"state still changing after {budget} sweeps")
+
+
+def energy(state, w: np.ndarray) -> float:
+    """Quadratic diagnostic E = -1/2 * x' W x, non-increasing along sweeps."""
+    x = _as_state(state).astype(np.int64)
+    return float(-0.5 * (x @ np.asarray(w) @ x))
 
 
 def correct_rates(chart: SPChart) -> np.ndarray:

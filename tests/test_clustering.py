@@ -23,6 +23,7 @@ from spcluster.datagen import GenSpec
 from oracles import (
     REFERENCE_FIXED_POINTS,
     REFERENCE_PATTERNS,
+    converge,
     enumerate_fixed_points,
     reference_draw,
     reference_trial_seed,
@@ -56,7 +57,7 @@ def partition_by_basin(chart, rep_indices):
     w = hopfield.hebbian_learn(chart.bits[list(rep_indices)])
     groups = {}
     for i, row in enumerate(hopfield.bipolar_from_binary(chart.bits)):
-        key = tuple(hopfield.converge(row, w).fixed_point.tolist())
+        key = tuple(converge(row, w).fixed_point.tolist())
         groups.setdefault(key, []).append(i)
     return {frozenset(v) for v in groups.values()}
 
@@ -64,8 +65,8 @@ def partition_by_basin(chart, rep_indices):
 def reference_clusters(chart, rep_indices):
     """Oracle: group rows by their terminal state's bytes in a dict, in
     order of first discovery, with gamma as a float mean deviation."""
-    w = hopfield.hebbian_learn(chart.bits[list(rep_indices)])
-    terminal, _, _ = hopfield.converge_many(hopfield.bipolar_from_binary(chart.bits), w)
+    patterns = chart.bits[list(rep_indices)]
+    terminal, _, _ = hopfield.converge_many(hopfield.bipolar_from_binary(chart.bits), patterns)
     groups = {}
     for i, row in enumerate(terminal):
         groups.setdefault(row.tobytes(), []).append(i)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spcluster import hopfield, spchart
@@ -11,11 +11,8 @@ from spcluster.hopfield import (
     NotSymmetric,
     binary_from_bipolar,
     bipolar_from_binary,
-    converge,
     converge_many,
-    energy,
     hebbian_learn,
-    sweep,
     sweep_bound,
 )
 
@@ -24,7 +21,10 @@ from oracles import (
     REFERENCE_PATTERNS,
     REFERENCE_WEIGHTS,
     all_states,
+    converge,
+    energy,
     enumerate_fixed_points,
+    sweep,
 )
 
 REF_W = np.array(REFERENCE_WEIGHTS, dtype=np.int64)
@@ -205,6 +205,11 @@ class TestSweep:
         assert parallel.tolist() == [1, -1]
 
 
+def triangle(a, b):
+    """Weights on three units whose largest row sum of |w| is a + b."""
+    return np.array([[0, a, b], [a, 0, 1], [b, 1, 0]], dtype=np.int64)
+
+
 class TestConverge:
     def test_reference_points_converge_in_one_sweep(self):
         for point in REFERENCE_FIXED_POINTS:
@@ -213,7 +218,7 @@ class TestConverge:
             assert np.array_equal(res.fixed_point, bipolar_from_binary(point))
 
     def test_all_reference_states_converge(self):
-        _, sweeps, _ = converge_many(all_states(10), REF_W)
+        _, sweeps, _ = converge_many(all_states(10), REFERENCE_PATTERNS)
         assert (sweeps >= 1).all()
         assert (sweeps <= sweep_bound(REF_W)).all()
 
@@ -226,11 +231,11 @@ class TestConverge:
         # [1, 1] needs a flipping sweep and a confirming one, so a budget
         # of one sweep leaves it still changing
         monkeypatch.setattr(hopfield, "sweep_bound", lambda *args: 1)
-        w = np.array([[0, -1], [-1, 0]])
+        patterns = [[1, 0]]  # the network [[0, -1], [-1, 0]]
         with pytest.raises(hopfield.NetworkError):
-            converge(np.array([1, 1]), w)
+            converge(np.array([1, 1]), hebbian_learn(patterns))
         with pytest.raises(hopfield.NetworkError):
-            converge_many(np.array([[1, 1]]), w)
+            converge_many(np.array([[1, 1]]), patterns)
 
     def test_validates_weights(self):
         with pytest.raises(NotSymmetric):
@@ -244,6 +249,14 @@ class TestConverge:
         with pytest.raises(hopfield.NetworkError):
             converge(np.array([[1, -1]]), np.array([[0, 1], [1, 0]]))
 
+    def test_fields_beyond_float64_are_refused(self):
+        # row sums of |w| from 2^53 on are refused; just below, the
+        # integer sweeps still relax every state
+        for state in all_states(3):
+            converge(state, triangle(2**52 - 1, 2**52))
+        with pytest.raises(hopfield.NetworkError):
+            converge(np.array([1, 1, 1]), triangle(2**52, 2**52))
+
     def test_reconverging_is_a_no_op(self):
         rng = np.random.default_rng(17)
         w = hebbian_learn(rng.integers(0, 2, size=(3, 8)))
@@ -256,9 +269,10 @@ class TestConverge:
 
     def test_converge_many_matches_converge(self):
         rng = np.random.default_rng(23)
-        w = hebbian_learn(rng.integers(0, 2, size=(4, 9)))
+        patterns = rng.integers(0, 2, size=(4, 9))
+        w = hebbian_learn(patterns)
         starts = rng.choice([-1, 1], size=(40, 9))
-        terminal, sweeps, _ = converge_many(starts, w)
+        terminal, sweeps, _ = converge_many(starts, patterns)
         for k in range(starts.shape[0]):
             res = converge(starts[k], w)
             assert np.array_equal(res.fixed_point, terminal[k])
@@ -271,50 +285,44 @@ def repeated_rows(rng, n):
     return pool[rng.integers(0, pool.shape[0], size=int(rng.integers(1, 16)))]
 
 
-def triangle(a, b):
-    """Weights on three units whose largest row sum of |w| is a + b."""
-    return np.array([[0, a, b], [a, 0, 1], [b, 1, 0]], dtype=np.int64)
-
-
-def assert_matches_scalar(starts, w):
-    terminal, sweeps, _ = converge_many(starts, w)
-    for k, start in enumerate(starts):
-        res = converge(start, w)
-        assert np.array_equal(terminal[k], res.fixed_point)
-        assert sweeps[k] == res.sweeps_used
-
-
 class TestConvergeManyAgainstScalar:
-    """The batch kernel dedupes rows and uses float fields; the scalar
-    ``converge`` is the reference for every row."""
+    """The batch kernel builds the Hebbian network itself, dedupes rows
+    and uses float fields; the scalar ``converge`` under that network is
+    the reference for every row."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @example(8, 70, 0)  # rows over 62 components are keyed whole
     def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
-        w = hebbian_learn(rng.integers(0, 2, size=(m, n)))
-        assert_matches_scalar(repeated_rows(rng, n), w)
+        patterns = rng.integers(0, 2, size=(m, n))
+        states = repeated_rows(rng, n)
+        w = hebbian_learn(patterns)
+        expected = [converge(state, w) for state in states]
+        first, inverse = hopfield.distinct_rows(states)
+        # precomputed rows may list the distinct rows in any order
+        order = rng.permutation(first.size)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        for rows in [None, (first[order], rank[inverse])]:
+            terminal, sweeps, converged = converge_many(states, patterns, rows)
+            for k, res in enumerate(expected):
+                assert np.array_equal(terminal[k], res.fixed_point)
+                assert sweeps[k] == res.sweeps_used
+            assert converged.all()
 
-    # the scales put the largest field below 2^24, across it, and far
-    # above it, so both float widths are exercised
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 70), st.sampled_from([3, 2**19, 2**40]), st.integers(0, 2**32 - 1))
-    def test_symmetric_integer_networks(self, n, scale, seed):
-        rng = np.random.default_rng(seed)
-        upper = np.triu(rng.integers(-scale, scale + 1, size=(n, n)), 1)
-        assert_matches_scalar(repeated_rows(rng, n), upper + upper.T)
-
-    @pytest.mark.parametrize("a", [2**24, 2**50])
-    def test_weights_that_float32_would_round(self, a):
-        # a + 1 is not a float32, so a float32 field a - (a + 1) would read 0
-        assert_matches_scalar(all_states(3), triangle(a, a + 1))
-
+    # one pattern repeated m times: every |w_jk| is m, so each row sum of
+    # |w| reaches the closed form's bound m (n - 1), here 2^23 - 8 and 2^23
     @pytest.mark.parametrize(
-        "a, b, dtype",
-        [(2**22 - 1, 2**22, np.float32), (2**22, 2**22, np.float64), (2**51 - 1, 2**51, np.float64)],
-        ids=["2^23-1", "2^23", "2^52-1"],
+        "m, dtype", [(2**20 - 1, np.float32), (2**20, np.float64)], ids=["2^23-8", "2^23"]
     )
-    def test_field_dtype_follows_row_sums(self, monkeypatch, a, b, dtype):
+    def test_field_dtype_follows_row_sums(self, monkeypatch, m, dtype):
+        pattern = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.int8)
+        b = 2 * pattern.astype(np.int64) - 1
+        w = m * np.outer(b, b)
+        np.fill_diagonal(w, 0)
+        states = all_states(9)
+        expected = [converge(state, w) for state in states]
         dot, seen = np.dot, set()
 
         def spy(u, v, out=None):
@@ -322,72 +330,44 @@ class TestConvergeManyAgainstScalar:
             return dot(u, v, out=out)
 
         monkeypatch.setattr(hopfield.np, "dot", spy)
-        assert_matches_scalar(all_states(3), triangle(a, b))
+        terminal, sweeps, _ = converge_many(states, np.broadcast_to(pattern, (m, 9)))
         assert seen == {np.dtype(dtype)}
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
-    def test_precomputed_rows_change_nothing(self, m, n, seed):
-        rng = np.random.default_rng(seed)
-        w = hebbian_learn(rng.integers(0, 2, size=(m, n)))
-        states = repeated_rows(rng, n)
-        expected = converge_many(states, w)
-        first, inverse = hopfield.distinct_rows(states)
-        # the distinct rows may come in any order
-        order = rng.permutation(first.size)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        for rows in [(first, inverse), (first[order], rank[inverse])]:
-            for got, want in zip(converge_many(states, w, rows), expected):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
+        for k, res in enumerate(expected):
+            assert np.array_equal(terminal[k], res.fixed_point)
+            assert sweeps[k] == res.sweeps_used
 
     def test_rows_that_do_not_group_the_states_are_refused(self):
         states = all_states(3)
-        w = hebbian_learn([[1, 0, 1]])
+        patterns = [[1, 0, 1]]
         first, inverse = hopfield.distinct_rows(states)
         for rows in [(first, inverse[:-1]), (first[::-1], inverse)]:
             with pytest.raises(hopfield.NetworkError):
-                converge_many(states, w, rows)
-
-    def test_fields_beyond_float64_are_refused(self):
-        w = np.array([[0, 2**52, 2**52], [2**52, 0, 0], [2**52, 0, 0]], dtype=np.int64)
-        with pytest.raises(hopfield.NetworkError):
-            converge_many(all_states(3), w)
-
-    @pytest.mark.parametrize("a, b", [(2**51, 2**51), (2**51, 2**51 + 1)], ids=["2^52", "2^52+1"])
-    def test_half_inexact_fields_are_refused(self, a, b):
-        w = triangle(a, b)
-        with pytest.raises(hopfield.NetworkError):
-            converge_many(all_states(3), w)
-        # the integer scalar kernel still relaxes them
-        for state in all_states(3):
-            converge(state, w)
+                converge_many(states, patterns, rows)
 
     def test_output_contract(self):
-        w = hebbian_learn([[1, 0, 1]])
-        terminal, sweeps, converged = converge_many(np.empty((0, 3), dtype=np.int8), w)
+        patterns = [[1, 0, 1]]
+        terminal, sweeps, converged = converge_many(np.empty((0, 3), dtype=np.int8), patterns)
         assert (terminal.shape, terminal.dtype) == ((0, 3), np.int8)
         assert (sweeps.shape, sweeps.dtype) == ((0,), np.int64)
         assert converged.shape == (0,)
-        terminal, _, _ = converge_many(all_states(3), w)
+        terminal, _, _ = converge_many(all_states(3), patterns)
         assert terminal.dtype == np.int8
         with pytest.raises(ValueError):
             terminal[0, 0] = 1
 
     @pytest.mark.parametrize(
-        "states, w",
+        "states, patterns",
         [
-            (np.array([[1, 0]]), np.array([[0, 1], [1, 0]])),
-            (np.array([[1, -1]]), np.array([[0.0, 0.5], [0.5, 0.0]])),
-            (np.array([1, -1]), np.array([[0, 1], [1, 0]])),  # one state, not a matrix of them
-            (np.array([[1, -1, 1]]), np.array([[0, 1], [1, 0]])),  # states wider than the matrix
-            (np.array([[1, -1]]), np.zeros((2, 3), dtype=np.int64)),  # a matrix that is not square
+            (np.array([[1, 0]]), [[1, 0]]),
+            (np.array([1, -1]), [[1, 0]]),  # one state, not a matrix of them
+            (np.array([[1, -1, 1]]), [[1, 0]]),  # states wider than the patterns
+            (np.array([[1, -1]]), [[1, 2]]),  # patterns that are not binary
+            (np.array([[1, -1]]), [1, 0]),  # one pattern, not a matrix of them
         ],
     )
-    def test_inputs_it_cannot_relax_exactly_are_refused(self, states, w):
+    def test_inputs_it_cannot_relax_exactly_are_refused(self, states, patterns):
         with pytest.raises(hopfield.NetworkError):
-            converge_many(states, w)
+            converge_many(states, patterns)
 
 
 class TestDistinctRows:
@@ -407,11 +387,8 @@ class TestDistinctRows:
 
 
 def assert_within_bound(w):
-    states = all_states(w.shape[0])
     bound = sweep_bound(w)
-    _, sweeps, _ = converge_many(states, w)
-    assert (sweeps <= bound).all()
-    assert all(converge(s, w).sweeps_used <= bound for s in states)
+    assert all(converge(s, w).sweeps_used <= bound for s in all_states(w.shape[0]))
 
 
 class TestSweepBound:
@@ -421,7 +398,11 @@ class TestSweepBound:
     @given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 2**32 - 1))
     def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
-        assert_within_bound(hebbian_learn(rng.integers(0, 2, size=(m, n))))
+        patterns = rng.integers(0, 2, size=(m, n))
+        w = hebbian_learn(patterns)
+        assert_within_bound(w)
+        _, sweeps, _ = converge_many(all_states(n), patterns)
+        assert (sweeps <= sweep_bound(w)).all()
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -434,7 +415,7 @@ class TestSweepBound:
         w = np.zeros((1, 1), dtype=int)
         assert sweep_bound(w) == 2
         assert converge(np.array([-1]), w).sweeps_used == 2
-        assert converge_many(np.array([[-1]]), w)[1].tolist() == [2]
+        assert converge_many(np.array([[-1]]), [[1]])[1].tolist() == [2]  # w = [[0]]
 
 
 class TestEnergy:
@@ -490,23 +471,24 @@ class TestEnumerateFixedPoints:
                     assert tuple((-np.array(p)).tolist()) in fixed
 
 
-def basin_map(w):
+def basin_map(patterns):
     """Every state of ``all_states`` mapped to the terminal state
-    ``converge_many`` relaxes it to, as bipolar tuples."""
-    states = all_states(w.shape[0])
-    terminal, _, _ = converge_many(states, w)
+    ``converge_many`` relaxes it to under the patterns' network, as
+    bipolar tuples."""
+    states = all_states(len(patterns[0]))
+    terminal, _, _ = converge_many(states, patterns)
     return dict(zip(map(tuple, states.tolist()), map(tuple, terminal.tolist())))
 
 
 class TestBasinMap:
     def test_fixed_points_map_to_themselves(self):
-        mapping = basin_map(REF_W)
+        mapping = basin_map(REFERENCE_PATTERNS)
         for p in enumerate_fixed_points(REF_W):
             key = tuple(p.tolist())
             assert mapping[key] == key
 
     def test_reference_partition(self):
-        mapping = basin_map(REF_W)
+        mapping = basin_map(REFERENCE_PATTERNS)
         assert len(mapping) == 1024
         images = set(mapping.values())
         binary_images = {tuple(binary_from_bipolar(np.array(v)).tolist()) for v in images}
@@ -514,8 +496,9 @@ class TestBasinMap:
 
     def test_matches_brute_force_trajectories(self):
         rng = np.random.default_rng(37)
-        w = hebbian_learn(rng.integers(0, 2, size=(3, 8)))
-        mapping = basin_map(w)
+        patterns = rng.integers(0, 2, size=(3, 8))
+        w = hebbian_learn(patterns)
+        mapping = basin_map(patterns)
         for state in all_states(8)[:: 7]:  # spot-check a spread of states
             expected = brute_force_trajectory(state.tolist(), w.tolist())
             assert mapping[tuple(state.tolist())] == expected

@@ -264,6 +264,26 @@ class TestParseAgainstReference:
                 assert calls.pop() == other
                 assert outcome == parse_outcome(reference_parse, other)
 
+    def test_padded_cells_are_not_decoded_line_by_line(self, monkeypatch):
+        # every line ends in a space, which only a header line may: the byte
+        # path gives up at the first data line instead of decoding them all
+        text = spchart.chart_to_csv(generate_chart(GenSpec(ChartType.TEST, 40, 6, seed=9)))
+        padded = "".join(f" {line.replace(',', ' , ')} \n" for line in text.splitlines())
+        chart = spchart.parse_chart(text)
+        calls, records = [], []
+        real, real_records = spchart._line, spchart._parse_records
+        monkeypatch.setattr(spchart, "_line", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(spchart, "_parse_records", lambda t: records.append(t) or real_records(t))
+        for data in (padded, padded.encode()):
+            calls.clear()
+            assert spchart.parse_chart(data) == reference_parse(data) == chart
+            assert len(calls) <= 2
+        # the header, the first line, may end in a space and be read on bytes
+        records.clear()
+        header, _, body = text.partition("\n")
+        assert spchart.parse_chart(f"{header} \n{body}") == chart
+        assert records == []
+
     @pytest.mark.parametrize("kind", list(ChartType))
     def test_bare_cr_line_ends_read_as_lf(self, kind):
         # classic Mac CSV ends every line with a bare CR
