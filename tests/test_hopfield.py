@@ -299,17 +299,28 @@ class TestConvergeManyAgainstScalar:
         states = repeated_rows(rng, n)
         w = hebbian_learn(patterns)
         expected = [converge(state, w) for state in states]
+        terminal, sweeps, converged = converge_many(states, patterns)
+        for k, res in enumerate(expected):
+            assert np.array_equal(terminal[k], res.fixed_point)
+            assert sweeps[k] == res.sweeps_used
+        assert converged.all()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_precomputed_rows_change_nothing(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 2, size=(m, n))
+        states = repeated_rows(rng, n)
+        expected = converge_many(states, patterns)
         first, inverse = hopfield.distinct_rows(states)
-        # precomputed rows may list the distinct rows in any order
+        # the distinct rows may come in any order
         order = rng.permutation(first.size)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        for rows in [None, (first[order], rank[inverse])]:
-            terminal, sweeps, converged = converge_many(states, patterns, rows)
-            for k, res in enumerate(expected):
-                assert np.array_equal(terminal[k], res.fixed_point)
-                assert sweeps[k] == res.sweeps_used
-            assert converged.all()
+        for rows in [(first, inverse), (first[order], rank[inverse])]:
+            for got, want in zip(converge_many(states, patterns, rows), expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     # one pattern repeated m times: every |w_jk| is m, so each row sum of
     # |w| reaches the closed form's bound m (n - 1), here 2^23 - 8 and 2^23
