@@ -111,23 +111,31 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``first``, the index of the first occurrence of each distinct
     row in ascending order, and ``inverse``, which maps every row to its
-    position in ``first``.  Rows of up to 62 components are
-    keyed by their sign bits packed into the narrowest unsigned type, which
-    ``np.unique`` radix-sorts at 8 and 16 bits; wider rows are compared whole.
+    position in ``first``.  Each word of up to 64 columns is keyed by its
+    sign bits packed into the narrowest unsigned type (numpy radix-sorts 8
+    and 16 bits).  One stable sort over the words groups equal rows, and
+    stability makes each group's first sorted row its first occurrence.
     """
     x = np.asarray(states)
-    n = x.shape[1]
-    if n <= 62:
+    keys = []
+    for lo in range(0, max(x.shape[1], 1), 64):  # 0 columns still make one (empty) word
+        n = min(x.shape[1] - lo, 64)
         dtype = np.min_scalar_type((1 << n) - 1)
-        keys = (x > 0).astype(dtype) @ (dtype.type(1) << np.arange(n, dtype=dtype))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        powers = dtype.type(1) << np.arange(n, dtype=dtype)
+        keys.append((x[:, lo:lo + n] > 0).astype(dtype) @ powers)
+    order = np.lexsort(keys)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[order[1:]] != key[order[:-1]]
     # renumber the groups from key order to order of first occurrence
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.ravel()]
+    first = order[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return first[by_first], rank[inverse]
 
 
 def converge_many(

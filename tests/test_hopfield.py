@@ -292,7 +292,9 @@ class TestConvergeManyAgainstScalar:
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
-    @example(8, 70, 0)  # rows over 62 components are keyed whole
+    @example(8, 70, 0)  # rows over 64 components are keyed by two words
+    @example(8, 64, 0)
+    @example(8, 129, 0)
     def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
@@ -307,6 +309,8 @@ class TestConvergeManyAgainstScalar:
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @example(8, 64, 0)
+    @example(8, 129, 0)
     def test_precomputed_rows_change_nothing(self, m, n, seed):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
@@ -381,20 +385,57 @@ class TestConvergeManyAgainstScalar:
             converge_many(states, patterns)
 
 
+def assert_groups_as_unique_rows_do(states):
+    first, inverse = hopfield.distinct_rows(states)
+    _, ref_first, ref_inverse = np.unique(states, axis=0, return_index=True, return_inverse=True)
+    # numbered in order of first occurrence, whatever order the keys sort in
+    assert np.array_equal(first, np.sort(ref_first))
+    assert np.array_equal(first[inverse], ref_first[ref_inverse.ravel()])
+
+
 class TestDistinctRows:
-    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 62, 63])
+    """Rows are keyed by words of up to 64 components; whole-row
+    ``np.unique`` is the reference."""
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 62, 63, 64, 65, 127, 128, 129, 200])
     def test_groups_as_unique_rows_do(self, n):
         rng = np.random.default_rng(n)
-        pool = rng.choice([-1, 1], size=(6, n))
-        pool[0], pool[1] = 1, -1  # the largest key sets every bit of the narrowest type
-        pool[3] = pool[2]
-        pool[3, -1] *= -1  # rows differing only in the last component, the key's top bit
-        states = pool[rng.integers(0, pool.shape[0], size=300)]
+        pool = list(rng.choice([-1, 1], size=(4, n)))
+        pool[0][:], pool[1][:] = 1, -1  # every word's key sets every bit of its type, or none
+        pool[3] = pool[2].copy()
+        pool[3][-1] *= -1  # rows differing only in the last component, its word's top bit
+        for top in range(63, n, 64):  # and in the top component of each full word
+            pool.append(rng.choice([-1, 1], size=n))
+            pool.append(pool[-1].copy())
+            pool[-1][top] *= -1
+        pool = np.array(pool)
+        # every pool row occurs, most of them many times
+        states = pool[rng.permutation(np.resize(np.arange(len(pool)), 300))]
+        assert_groups_as_unique_rows_do(states)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 200), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_random_batches_group_as_unique_rows_do(self, n, r, seed):
+        rng = np.random.default_rng(seed)
+        # a small pool of rows a few flips apart, so that rows repeat and
+        # distinct rows may differ in a single word
+        pool = np.tile(rng.choice([-1, 1], size=n), (int(rng.integers(1, 8)), 1))
+        flips = rng.integers(0, n, size=(len(pool), 2))
+        pool[np.arange(len(pool))[:, None], flips] *= -1
+        assert_groups_as_unique_rows_do(pool[rng.integers(0, len(pool), size=r)])
+
+    @pytest.mark.parametrize("n", [10, 130])
+    def test_no_rows(self, n):
+        states = np.empty((0, n), dtype=np.int8)
         first, inverse = hopfield.distinct_rows(states)
-        _, ref_first, ref_inverse = np.unique(states, axis=0, return_index=True, return_inverse=True)
-        # numbered in order of first occurrence, whatever order the keys sort in
-        assert np.array_equal(first, np.sort(ref_first))
-        assert np.array_equal(first[inverse], ref_first[ref_inverse.ravel()])
+        assert (first.shape, inverse.shape) == ((0,), (0,))
+        terminal, sweeps, converged = converge_many(states, np.ones((2, n), dtype=np.int8))
+        assert (terminal.shape, sweeps.shape, converged.shape) == ((0, n), (0,), (0,))
+
+    def test_rows_of_no_components_are_one_group(self):
+        first, inverse = hopfield.distinct_rows(np.empty((3, 0), dtype=np.int8))
+        assert first.tolist() == [0]
+        assert inverse.tolist() == [0, 0, 0]
 
 
 def assert_within_bound(w):
