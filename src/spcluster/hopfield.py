@@ -7,14 +7,17 @@ one correlation learning builds from M binary patterns
 (``hebbian_learn``): a symmetric, zero-diagonal integer matrix, under
 which every trajectory reaches a fixed point within ``sweep_bound(w)``
 sweeps.  ``converge_many`` relaxes a batch of states under the network
-of the patterns it is given and raises ``NetworkError`` if a state is
-still changing at that bound, so nonconvergence can never pass silently.
-Its float products, each a field plus 1/2, are exact half-integers, so
-results are bit-reproducible; the tests check it against a scalar
-integer reference.
+of the patterns it is given, by sweeping its distinct rows or, for small
+N, a table of all 2^N states once, and raises ``NetworkError`` if a state
+is still changing at that bound, so nonconvergence can never pass
+silently.  Its float products, each a field plus 1/2, are exact
+half-integers, so results are bit-reproducible; the tests check it
+against a scalar integer reference.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -145,8 +148,11 @@ def converge_many(
     ``hebbian_learn`` builds from the M x N binary ``patterns``.
 
     Each row is swept until a sweep flips nothing; rows do not interact.
-    Equal rows share a trajectory, so only the distinct rows are relaxed
-    and their results are copied to every duplicate.  ``rows`` is
+    Equal rows share a trajectory, so only the R distinct rows are relaxed
+    and their results are copied to every duplicate.  If 2^N <= max(R,
+    2^11), one sweep of a table of all 2^N states gives each state's
+    successor, and each row follows successors to a fixed point; else the
+    rows are swept together as the columns of one matrix.  ``rows`` is
     ``distinct_rows(states)``, possibly with the distinct rows reordered;
     a caller relaxing the same states under many networks passes it to
     group them once.
@@ -184,35 +190,72 @@ def converge_many(
     if inverse.shape != (x.shape[0],) or (inverse[first] != np.arange(first.size)).any():
         raise NetworkError("rows do not group these states")
     # wb[j] @ xt is f + 1/2 for each column's field f: never 0, and of the
-    # sign of f with sgn(0) = +1.  Column c of xt is distinct row ids[c].
+    # sign of f with sgn(0) = +1
     wb = np.hstack((w, np.full((n, 1), 0.5))).astype(dtype)
-    xt = np.ones((n + 1, first.size), dtype)
-    xt[:n] = x[first].T
-    ids = np.arange(first.size)
-    changes = np.zeros(first.size, dtype=np.int64)
-    final = np.empty((first.size, n), dtype=np.int8)
-    sweeps = np.empty(first.size, dtype=np.int64)
-    for _ in range(budget):
-        before = xt.copy()
-        field = np.empty(xt.shape[1], dtype)
-        for wj, xj in zip(wb, xt):
-            np.sign(np.dot(wj, xt, out=field), out=xj)
-        # a sweep that changes nothing leaves a fixed point, which no later
-        # sweep changes: a row's count is one more than its changing sweeps,
-        # and settled columns can sweep on until at most half still change
-        changed = (xt != before).any(axis=0)
-        changes += changed
-        moving = np.count_nonzero(changed)
-        if 2 * moving <= changed.size:
-            final[ids[~changed]] = xt[:n, ~changed].T
-            sweeps[ids[~changed]] = changes[~changed] + 1
-            if not moving:
-                break
-            xt, ids, changes = xt.compress(changed, axis=1), ids[changed], changes[changed]
+    if 1 << n <= max(first.size, 1 << 11):  # the crossover measured in README
+        final, sweeps = _follow_table(wb, x[first], budget)
     else:
-        raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
-
+        xt = np.ones((n + 1, first.size), dtype)
+        xt[:n] = x[first].T
+        ids = np.arange(first.size)  # column c of xt is row ids[c]
+        changes = np.zeros(first.size, dtype=np.int64)
+        final = np.empty((first.size, n), dtype=np.int8)
+        sweeps = np.empty(first.size, dtype=np.int64)
+        for _ in range(budget):
+            before = xt.copy()
+            _sweep(wb, xt)
+            # a sweep that changes nothing leaves a fixed point, which no later
+            # sweep changes: a row's count is one more than its changing sweeps,
+            # and settled columns can sweep on until at most half still change
+            changed = (xt != before).any(axis=0)
+            changes += changed
+            moving = np.count_nonzero(changed)
+            if 2 * moving <= changed.size:
+                final[ids[~changed]] = xt[:n, ~changed].T
+                sweeps[ids[~changed]] = changes[~changed] + 1
+                if not moving:
+                    break
+                xt, ids, changes = xt.compress(changed, axis=1), ids[changed], changes[changed]
+        else:
+            raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
     out = np.take(final, inverse, axis=0)  # several times faster than final[inverse]
     out.flags.writeable = False
     return out, sweeps[inverse], np.ones(x.shape[0], dtype=bool)
 
+
+@functools.lru_cache(maxsize=1)
+def _state_table(n: int, dtype) -> np.ndarray:
+    """Every +-1 state of n components as a column over a row of ones,
+    read-only: component j of column c is +1 where bit j of c is set."""
+    table = np.ones((n + 1, 1 << n), dtype)
+    table[:n] = (np.arange(1 << n) >> np.arange(n)[:, None] & 1) * 2 - 1
+    table.flags.writeable = False
+    return table
+
+
+def _sweep(wb: np.ndarray, xt: np.ndarray) -> None:
+    """One ascending sweep of every column of xt, in place."""
+    field = np.empty(xt.shape[1], xt.dtype)
+    for wj, xj in zip(wb, xt):
+        np.sign(np.dot(wj, xt, out=field), out=xj)
+
+
+def _follow_table(wb: np.ndarray, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal states and sweep counts of the rows of ``starts``, each
+    stepping from successor to successor until a step changes nothing."""
+    n = starts.shape[1]
+    table = _state_table(n, wb.dtype)
+    xt = table.copy()
+    _sweep(wb, xt)
+    # state indices are exact in float64: 2^n <= max(R, 2^11) < 2^53
+    powers = np.ldexp(1.0, np.arange(n))
+    succ, cur = (powers @ (xt[:n] > 0)).astype(np.intp), ((starts > 0) @ powers).astype(np.intp)
+    sweeps = np.ones(len(starts), dtype=np.int64)
+    for _ in range(budget):
+        step = succ[cur]
+        changed = step != cur
+        if not changed.any():
+            return table[:n, cur].T.astype(np.int8), sweeps
+        sweeps += changed
+        cur = step
+    raise NetworkError(f"{changed.sum()} distinct rows still changing after {budget} sweeps")

@@ -287,8 +287,9 @@ def _parse_records(text: str):
     width = len(rows[0]) - skip
     if width < 1:
         raise EmptyInput()
-    # cells are almost always bare digits; strip them only when that fails
-    bits = _record_bits(rows, skip, width)
+    # cells are almost always bare digits; strip them when the first record
+    # shows they are not, or when the bare attempt fails
+    bits = _record_bits(rows, skip, width) if set(rows[0][skip:]) <= {"0", "1"} else None
     if bits is None:
         rows = [[cell.strip() for cell in r] for r in rows]
         bits = _record_bits(rows, skip, width)

@@ -228,14 +228,17 @@ class TestConverge:
         assert res.sweeps_used == 2  # one changing sweep plus the confirming one
 
     def test_budget_exhaustion_is_loud(self, monkeypatch):
-        # [1, 1] needs a flipping sweep and a confirming one, so a budget
-        # of one sweep leaves it still changing
+        # all +1 needs a flipping sweep and a confirming one, as unit 0's
+        # field is 1 - n, so a budget of one sweep leaves it still changing;
+        # two components take the state table, twelve with one row the
+        # column loop
         monkeypatch.setattr(hopfield, "sweep_bound", lambda *args: 1)
-        patterns = [[1, 0]]  # the network [[0, -1], [-1, 0]]
-        with pytest.raises(hopfield.NetworkError):
-            converge(np.array([1, 1]), hebbian_learn(patterns))
-        with pytest.raises(hopfield.NetworkError):
-            converge_many(np.array([[1, 1]]), patterns)
+        for n in (2, 12):
+            patterns = [[1] + [0] * (n - 1)]  # for n = 2 the network [[0, -1], [-1, 0]]
+            with pytest.raises(hopfield.NetworkError):
+                converge(np.ones(n, dtype=np.int8), hebbian_learn(patterns))
+            with pytest.raises(hopfield.NetworkError):
+                converge_many(np.ones((1, n), dtype=np.int8), patterns)
 
     def test_validates_weights(self):
         with pytest.raises(NotSymmetric):
@@ -295,6 +298,8 @@ class TestConvergeManyAgainstScalar:
     @example(8, 70, 0)  # rows over 64 components are keyed by two words
     @example(8, 64, 0)
     @example(8, 129, 0)
+    @example(8, 11, 0)  # the most components the state table always takes
+    @example(8, 12, 0)  # the fewest the column loop takes for a few rows
     def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
@@ -328,15 +333,24 @@ class TestConvergeManyAgainstScalar:
 
     # one pattern repeated m times: every |w_jk| is m, so each row sum of
     # |w| reaches the closed form's bound m (n - 1), here 2^23 - 8 and 2^23
+    # over all 2^9 states (the state table), and 2^23 - 16 and 2^23 over a
+    # few states of 17 components (the column loop)
     @pytest.mark.parametrize(
-        "m, dtype", [(2**20 - 1, np.float32), (2**20, np.float64)], ids=["2^23-8", "2^23"]
+        "m, n, dtype",
+        [
+            (2**20 - 1, 9, np.float32),
+            (2**20, 9, np.float64),
+            (2**19 - 1, 17, np.float32),
+            (2**19, 17, np.float64),
+        ],
+        ids=["2^23-8", "2^23", "2^23-16-columns", "2^23-columns"],
     )
-    def test_field_dtype_follows_row_sums(self, monkeypatch, m, dtype):
-        pattern = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.int8)
+    def test_field_dtype_follows_row_sums(self, monkeypatch, m, n, dtype):
+        pattern = np.resize(np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.int8), n)
         b = 2 * pattern.astype(np.int64) - 1
         w = m * np.outer(b, b)
         np.fill_diagonal(w, 0)
-        states = all_states(9)
+        states = all_states(n) if n == 9 else np.random.default_rng(n).choice([-1, 1], size=(40, n))
         expected = [converge(state, w) for state in states]
         dot, seen = np.dot, set()
 
@@ -345,11 +359,34 @@ class TestConvergeManyAgainstScalar:
             return dot(u, v, out=out)
 
         monkeypatch.setattr(hopfield.np, "dot", spy)
-        terminal, sweeps, _ = converge_many(states, np.broadcast_to(pattern, (m, 9)))
+        terminal, sweeps, _ = converge_many(states, np.broadcast_to(pattern, (m, n)))
         assert seen == {np.dtype(dtype)}
         for k, res in enumerate(expected):
             assert np.array_equal(terminal[k], res.fixed_point)
             assert sweeps[k] == res.sweeps_used
+
+    # 2^N <= max(R, 2^11) takes the state table: every batch up to 11
+    # components, and a batch of 12 only when it holds all 4,096 states
+    @pytest.mark.parametrize("n, count, table", [(11, 5, True), (12, 4096, True), (12, 4095, False)])
+    def test_both_sides_of_the_state_table_rule(self, monkeypatch, n, count, table):
+        rng = np.random.default_rng(n + count)
+        patterns = rng.integers(0, 2, size=(4, n))
+        states = all_states(n)[rng.permutation(2**n)[:count]]
+        built, real = [], hopfield._state_table
+        monkeypatch.setattr(hopfield, "_state_table", lambda *args: built.append(args) or real(*args))
+        terminal, sweeps, _ = converge_many(states, patterns)
+        assert bool(built) == table
+        w = hebbian_learn(patterns)
+        for k, state in enumerate(states):
+            res = converge(state, w)
+            assert np.array_equal(terminal[k], res.fixed_point)
+            assert sweeps[k] == res.sweeps_used
+
+    def test_rows_of_no_components_settle_in_one_sweep(self):
+        states = np.empty((3, 0), dtype=np.int8)
+        terminal, sweeps, _ = converge_many(states, states[:2])
+        assert terminal.shape == (3, 0)
+        assert sweeps.tolist() == [1, 1, 1]
 
     def test_rows_that_do_not_group_the_states_are_refused(self):
         states = all_states(3)

@@ -284,6 +284,22 @@ class TestParseAgainstReference:
         assert spchart.parse_chart(f"{header} \n{body}") == chart
         assert records == []
 
+    def test_padded_first_record_skips_the_bare_attempt(self, monkeypatch):
+        # a padded cell in the first data record means the cells must be
+        # stripped before they are read as bits; a later one is found by
+        # the bare attempt failing
+        text = spchart.chart_to_csv(generate_chart(GenSpec(ChartType.TEST, 40, 6, seed=9)))
+        lines = text.splitlines()
+        padded = "".join(f"{line.replace(',', ' , ')}\n" for line in lines)
+        late = "\n".join(lines[:3] + [lines[3].replace(",", " ,")] + lines[4:]) + "\n"
+        calls = []
+        real = spchart._record_bits
+        monkeypatch.setattr(spchart, "_record_bits", lambda *args: calls.append(args) or real(*args))
+        for data, attempts in [(padded, 1), (late, 2)]:
+            calls.clear()
+            assert spchart.parse_chart(data) == reference_parse(data) == spchart.parse_chart(text)
+            assert len(calls) == attempts
+
     @pytest.mark.parametrize("kind", list(ChartType))
     def test_bare_cr_line_ends_read_as_lf(self, kind):
         # classic Mac CSV ends every line with a bare CR
