@@ -192,20 +192,19 @@ def _trial(
     """Relax every student under the network storing ``reps`` and group
     the students by terminal state.
 
-    Returns each distinct row's cluster label, each cluster's terminal
-    state and size, its ``_gammas``, and the sweeps every student took.
-    Sizes and column counts weight each distinct row by how many students
-    hold it.  The rows are in order of first occurrence over student
-    index, so numbering clusters by their first row numbers them by first
-    discovery over student index.
+    Returns every student's cluster label, each cluster's terminal state
+    and size, its ``_gammas``, and the sweeps every student took.  The
+    clusters are numbered by first discovery over student index.  Sizes
+    and column counts sum the distinct rows weighted by multiplicity.
     """
     patterns = rows.chart.bits[list(reps)]
-    terminal, sweeps, _ = hopfield.converge_many(rows.states, patterns, (rows.first, rows.inverse))
-    first, labels = hopfield.distinct_rows(terminal[rows.first])
-    sizes = np.bincount(labels, weights=rows.mult).astype(np.int64)
-    by_cluster = rows.weighted[np.argsort(labels, kind="stable")]
-    scores = _gammas(by_cluster, np.bincount(labels), sizes)
-    return labels, terminal[rows.first[first]], sizes.tolist(), scores, sweeps
+    grouping = (rows.first, rows.inverse)
+    points, sweeps, labels = hopfield.converge_many(rows.states, patterns, grouping)
+    distinct = labels[rows.first]
+    sizes = np.bincount(distinct, weights=rows.mult).astype(np.int64)
+    by_cluster = rows.weighted[np.argsort(distinct, kind="stable")]
+    scores = _gammas(by_cluster, np.bincount(distinct), sizes)
+    return labels, points, sizes.tolist(), scores, sweeps
 
 
 def _clusters(members: np.ndarray, sizes, fixed_points, scores) -> tuple[Cluster, ...]:
@@ -226,7 +225,7 @@ def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
     labels, points, sizes, scores, sweeps = _trial(rows, reps)
-    members = np.argsort(labels[rows.inverse], kind="stable")
+    members = np.argsort(labels, kind="stable")
     fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
     return Clustering(_clusters(members, sizes, fixed_points, scores), chart, reps), sweeps
 

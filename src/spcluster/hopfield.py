@@ -8,11 +8,11 @@ one correlation learning builds from M binary patterns
 which every trajectory reaches a fixed point within ``sweep_bound(w)``
 sweeps.  ``converge_many`` relaxes a batch of states under the network
 of the patterns it is given, by sweeping its distinct rows or, for small
-N, a table of all 2^N states once, and raises ``NetworkError`` if a state
-is still changing at that bound, so nonconvergence can never pass
-silently.  Its float products, each a field plus 1/2, are exact
-half-integers, so results are bit-reproducible; the tests check it
-against a scalar integer reference.
+N, a table of all 2^N states once, groups them by fixed point, and
+raises ``NetworkError`` if a state is still changing at that bound, so
+nonconvergence can never pass silently.  Its float products, each a
+field plus 1/2, are exact half-integers, so results are reproducible
+bit for bit; the tests check it against a scalar integer reference.
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ def converge_many(
     ``hebbian_learn`` builds from the M x N binary ``patterns``.
 
     Each row is swept until a sweep flips nothing; rows do not interact.
-    Equal rows share a trajectory, so only the R distinct rows are relaxed
-    and their results are copied to every duplicate.  If 2^N <= max(R,
-    2^11), one sweep of a table of all 2^N states gives each state's
-    successor, and each row follows successors to a fixed point; else the
-    rows are swept together as the columns of one matrix.  ``rows`` is
-    ``distinct_rows(states)``, possibly with the distinct rows reordered;
-    a caller relaxing the same states under many networks passes it to
-    group them once.
+    Equal rows share a trajectory, so only the R distinct rows are relaxed.
+    If 2^N <= max(R, 2^11), one sweep of a table of all 2^N states gives
+    each state's successor, each row follows successors to a fixed point,
+    and rows are grouped by its table index, the state's sign-bit key;
+    else the rows are swept as the columns of one matrix and grouped by
+    ``distinct_rows``.  Groups are numbered by their first input row.
+    ``rows`` is ``distinct_rows(states)``, possibly with the distinct rows
+    reordered; a caller relaxing the same states under many networks
+    passes it to group them once.
 
     A unit update is one float product of [w_j, 1/2] with every state (the
     columns of a matrix over a row of ones): each field plus 1/2.  Every
@@ -166,9 +167,10 @@ def converge_many(
     1/2 below 2^52.  M (N - 1) cannot reach 2^52: ``hebbian_learn`` holds
     the patterns as int64, 8 M N bytes, which would then be 32 PiB.
 
-    Returns the read-only int8 terminal states, per-row sweep counts
-    (counting the final sweep that flips nothing), and a per-row
-    convergence flag that is always True, since every row settles within
+    Returns ``(attractors, sweeps, labels)``: the read-only K x N int8
+    distinct terminal states, per-row sweep counts (counting the final
+    sweep that flips nothing), and per-row labels, so that row i settles
+    at ``attractors[labels[i]]``.  Every row settles within
     ``sweep_bound(w)`` sweeps or the call raises ``NetworkError``.  Also
     raises ``NetworkError`` for patterns that are not binary, for states
     that are not -1/+1 rows of the patterns' width, and for ``rows`` that
@@ -193,7 +195,7 @@ def converge_many(
     # sign of f with sgn(0) = +1
     wb = np.hstack((w, np.full((n, 1), 0.5))).astype(dtype)
     if 1 << n <= max(first.size, 1 << 11):  # the crossover measured in README
-        final, sweeps = _follow_table(wb, x[first], budget)
+        table, group, sweeps = _follow_table(wb, x[first], budget)
     else:
         xt = np.ones((n + 1, first.size), dtype)
         xt[:n] = x[first].T
@@ -218,9 +220,18 @@ def converge_many(
                 xt, ids, changes = xt.compress(changed, axis=1), ids[changed], changes[changed]
         else:
             raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
-    out = np.take(final, inverse, axis=0)  # several times faster than final[inverse]
-    out.flags.writeable = False
-    return out, sweeps[inverse], np.ones(x.shape[0], dtype=bool)
+        keys, group = distinct_rows(final)
+        table = final[keys].T  # as on the other path, column group[k] is row k's terminal state
+    # number the groups by their first input row: reordered rows change nothing
+    head = np.full(table.shape[1], x.shape[0])
+    np.minimum.at(head, group, first)
+    found = np.flatnonzero(head < x.shape[0])
+    found = found[np.argsort(head[found])]
+    label = np.empty(table.shape[1], dtype=np.intp)
+    label[found] = np.arange(found.size)
+    attractors = table[:n, found].T.astype(np.int8)
+    attractors.flags.writeable = False
+    return attractors, sweeps[inverse], label[group][inverse]
 
 
 @functools.lru_cache(maxsize=1)
@@ -240,22 +251,27 @@ def _sweep(wb: np.ndarray, xt: np.ndarray) -> None:
         np.sign(np.dot(wj, xt, out=field), out=xj)
 
 
-def _follow_table(wb: np.ndarray, starts: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal states and sweep counts of the rows of ``starts``, each
-    stepping from successor to successor until a step changes nothing."""
+def _follow_table(
+    wb: np.ndarray, starts: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state table, and the terminal column and sweep count of each row
+    of ``starts``, which steps through successors until a step changes nothing."""
     n = starts.shape[1]
     table = _state_table(n, wb.dtype)
     xt = table.copy()
     _sweep(wb, xt)
-    # state indices are exact in float64: 2^n <= max(R, 2^11) < 2^53
-    powers = np.ldexp(1.0, np.arange(n))
-    succ, cur = (powers @ (xt[:n] > 0)).astype(np.intp), ((starts > 0) @ powers).astype(np.intp)
+    # a state's index is sum_j 2^j (x_j + 1) / 2 = sum_j 2^(j-1) x_j + (2^n - 1) / 2:
+    # every partial sum is a multiple of 1/2 below 2^n: exact in float32 for n <= 23
+    half = np.ldexp(np.ones(n + 1, np.float32 if n <= 23 else np.float64), np.arange(-1, n))
+    half[n] = (2.0**n - 1) / 2
+    succ = (half @ xt).astype(np.intp)
+    cur = (starts @ half[:n] + half[n]).astype(np.intp)
     sweeps = np.ones(len(starts), dtype=np.int64)
     for _ in range(budget):
         step = succ[cur]
         changed = step != cur
         if not changed.any():
-            return table[:n, cur].T.astype(np.int8), sweeps
+            return table, cur, sweeps
         sweeps += changed
         cur = step
     raise NetworkError(f"{changed.sum()} distinct rows still changing after {budget} sweeps")

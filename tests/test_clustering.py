@@ -63,17 +63,19 @@ def partition_by_basin(chart, rep_indices):
 
 
 def reference_clusters(chart, rep_indices):
-    """Oracle: group rows by their terminal state's bytes in a dict, in
-    order of first discovery, with gamma as a float mean deviation."""
-    patterns = chart.bits[list(rep_indices)]
-    terminal, _, _ = hopfield.converge_many(hopfield.bipolar_from_binary(chart.bits), patterns)
-    groups = {}
-    for i, row in enumerate(terminal):
-        groups.setdefault(row.tobytes(), []).append(i)
+    """Oracle: group rows by the bytes of the fixed point the scalar
+    ``converge`` takes them to, in a dict in order of first discovery,
+    with gamma as a float mean deviation."""
+    w = hopfield.hebbian_learn(chart.bits[list(rep_indices)])
+    settled, groups = {}, {}  # row bytes -> fixed point; fixed point bytes -> members
+    for i, row in enumerate(hopfield.bipolar_from_binary(chart.bits)):
+        if row.tobytes() not in settled:
+            settled[row.tobytes()] = converge(row, w).fixed_point
+        groups.setdefault(settled[row.tobytes()].tobytes(), []).append(i)
     out = []
-    for members in groups.values():
+    for point, members in groups.items():
         bits = chart.bits[members].astype(float)
-        point = tuple(hopfield.binary_from_bipolar(terminal[members[0]]).tolist())
+        point = tuple(hopfield.binary_from_bipolar(np.frombuffer(point, np.int8)).tolist())
         out.append((tuple(members), point, float(np.abs(bits - bits.mean(axis=0)).mean())))
     return out
 

@@ -275,10 +275,10 @@ class TestConverge:
         patterns = rng.integers(0, 2, size=(4, 9))
         w = hebbian_learn(patterns)
         starts = rng.choice([-1, 1], size=(40, 9))
-        terminal, sweeps, _ = converge_many(starts, patterns)
+        attractors, sweeps, labels = converge_many(starts, patterns)
         for k in range(starts.shape[0]):
             res = converge(starts[k], w)
-            assert np.array_equal(res.fixed_point, terminal[k])
+            assert np.array_equal(res.fixed_point, attractors[labels[k]])
             assert res.sweeps_used == sweeps[k]
 
 
@@ -306,11 +306,10 @@ class TestConvergeManyAgainstScalar:
         states = repeated_rows(rng, n)
         w = hebbian_learn(patterns)
         expected = [converge(state, w) for state in states]
-        terminal, sweeps, converged = converge_many(states, patterns)
+        attractors, sweeps, labels = converge_many(states, patterns)
         for k, res in enumerate(expected):
-            assert np.array_equal(terminal[k], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], res.fixed_point)
             assert sweeps[k] == res.sweeps_used
-        assert converged.all()
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
@@ -359,10 +358,10 @@ class TestConvergeManyAgainstScalar:
             return dot(u, v, out=out)
 
         monkeypatch.setattr(hopfield.np, "dot", spy)
-        terminal, sweeps, _ = converge_many(states, np.broadcast_to(pattern, (m, n)))
+        attractors, sweeps, labels = converge_many(states, np.broadcast_to(pattern, (m, n)))
         assert seen == {np.dtype(dtype)}
         for k, res in enumerate(expected):
-            assert np.array_equal(terminal[k], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], res.fixed_point)
             assert sweeps[k] == res.sweeps_used
 
     # 2^N <= max(R, 2^11) takes the state table: every batch up to 11
@@ -374,19 +373,20 @@ class TestConvergeManyAgainstScalar:
         states = all_states(n)[rng.permutation(2**n)[:count]]
         built, real = [], hopfield._state_table
         monkeypatch.setattr(hopfield, "_state_table", lambda *args: built.append(args) or real(*args))
-        terminal, sweeps, _ = converge_many(states, patterns)
+        attractors, sweeps, labels = converge_many(states, patterns)
         assert bool(built) == table
         w = hebbian_learn(patterns)
         for k, state in enumerate(states):
             res = converge(state, w)
-            assert np.array_equal(terminal[k], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], res.fixed_point)
             assert sweeps[k] == res.sweeps_used
 
     def test_rows_of_no_components_settle_in_one_sweep(self):
         states = np.empty((3, 0), dtype=np.int8)
-        terminal, sweeps, _ = converge_many(states, states[:2])
-        assert terminal.shape == (3, 0)
+        attractors, sweeps, labels = converge_many(states, states[:2])
+        assert attractors.shape == (1, 0)
         assert sweeps.tolist() == [1, 1, 1]
+        assert labels.tolist() == [0, 0, 0]
 
     def test_rows_that_do_not_group_the_states_are_refused(self):
         states = all_states(3)
@@ -398,14 +398,15 @@ class TestConvergeManyAgainstScalar:
 
     def test_output_contract(self):
         patterns = [[1, 0, 1]]
-        terminal, sweeps, converged = converge_many(np.empty((0, 3), dtype=np.int8), patterns)
-        assert (terminal.shape, terminal.dtype) == ((0, 3), np.int8)
+        attractors, sweeps, labels = converge_many(np.empty((0, 3), dtype=np.int8), patterns)
+        assert (attractors.shape, attractors.dtype) == ((0, 3), np.int8)
         assert (sweeps.shape, sweeps.dtype) == ((0,), np.int64)
-        assert converged.shape == (0,)
-        terminal, _, _ = converge_many(all_states(3), patterns)
-        assert terminal.dtype == np.int8
-        with pytest.raises(ValueError):
-            terminal[0, 0] = 1
+        assert (labels.shape, labels.dtype) == ((0,), np.intp)
+        for n in (3, 12):  # the state table, and for 100 rows of 12 the column loop
+            attractors, _, _ = converge_many(all_states(n)[:100], [[1, 0, 1] * (n // 3)])
+            assert attractors.dtype == np.int8
+            with pytest.raises(ValueError):
+                attractors[0, 0] = 1
 
     @pytest.mark.parametrize(
         "states, patterns",
@@ -420,6 +421,52 @@ class TestConvergeManyAgainstScalar:
     def test_inputs_it_cannot_relax_exactly_are_refused(self, states, patterns):
         with pytest.raises(hopfield.NetworkError):
             converge_many(states, patterns)
+
+
+def assert_attractor_contract(states, patterns):
+    """Row k settles at ``attractors[labels[k]]``, the scalar ``converge``'s
+    fixed point; labels are numbered by first occurrence over the rows;
+    the attractors are distinct and no sweep changes them."""
+    attractors, _, labels = converge_many(states, patterns)
+    w = hebbian_learn(patterns)
+    for k, state in enumerate(states):
+        assert np.array_equal(attractors[labels[k]], converge(state, w).fixed_point)
+    assert list(dict.fromkeys(labels.tolist())) == list(range(len(attractors)))
+    assert len({a.tobytes() for a in attractors}) == len(attractors)
+    assert not any(sweep(a, w)[1] for a in attractors)
+    return attractors, labels
+
+
+class TestAttractorsAndLabels:
+    """``converge_many`` groups rows by attractor on both of its paths: by
+    table index on the state table, by ``distinct_rows`` on the column loop."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @example(8, 11, 0)  # the state table
+    @example(8, 12, 0)  # the column loop
+    @example(8, 70, 0)  # the column loop, rows keyed by two words
+    def test_contract(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        patterns = rng.integers(0, 2, size=(m, n))
+        states = np.vstack((repeated_rows(rng, n), rng.choice([-1, 1], size=(20, n))))
+        assert_attractor_contract(states[rng.permutation(len(states))], patterns)
+
+    # one stored pattern of all ones: each field is the sum of the other
+    # components, and every row settles at all +1 or all -1, table indices
+    # 2^n - 1 and 0; the rows run from all +1 down, so all +1 comes first
+    @pytest.mark.parametrize("n, count", [(11, 2**11), (12, 2**12), (12, 2**12 - 1)])
+    def test_many_rows_share_an_attractor(self, n, count):
+        states = all_states(n)[::-1][:count]
+        attractors, labels = assert_attractor_contract(states, [[1] * n])
+        assert attractors.tolist() == [[1] * n, [-1] * n]
+        assert (np.bincount(labels) > count // 3).all()
+
+    def test_many_wide_rows_share_an_attractor(self):
+        states = np.random.default_rng(70).choice([-1, 1], size=(300, 70))
+        attractors, labels = assert_attractor_contract(states, [[1] * 70])
+        assert sorted(attractors.sum(axis=1).tolist()) == [-70, 70]
+        assert (np.bincount(labels) > 100).all()
 
 
 def assert_groups_as_unique_rows_do(states):
@@ -466,8 +513,8 @@ class TestDistinctRows:
         states = np.empty((0, n), dtype=np.int8)
         first, inverse = hopfield.distinct_rows(states)
         assert (first.shape, inverse.shape) == ((0,), (0,))
-        terminal, sweeps, converged = converge_many(states, np.ones((2, n), dtype=np.int8))
-        assert (terminal.shape, sweeps.shape, converged.shape) == ((0, n), (0,), (0,))
+        attractors, sweeps, labels = converge_many(states, np.ones((2, n), dtype=np.int8))
+        assert (attractors.shape, sweeps.shape, labels.shape) == ((0, n), (0,), (0,))
 
     def test_rows_of_no_components_are_one_group(self):
         first, inverse = hopfield.distinct_rows(np.empty((3, 0), dtype=np.int8))
@@ -565,8 +612,8 @@ def basin_map(patterns):
     ``converge_many`` relaxes it to under the patterns' network, as
     bipolar tuples."""
     states = all_states(len(patterns[0]))
-    terminal, _, _ = converge_many(states, patterns)
-    return dict(zip(map(tuple, states.tolist()), map(tuple, terminal.tolist())))
+    attractors, _, labels = converge_many(states, patterns)
+    return dict(zip(map(tuple, states.tolist()), map(tuple, attractors[labels].tolist())))
 
 
 class TestBasinMap:
