@@ -1,22 +1,22 @@
 """Attractor-network clustering for binary student-problem charts."""
 
-from .clustering import Clustering, TrialReport, rnn_cluster, run_trials, score_baseline
-from .datagen import GenSpec, generate_chart
-from .spchart import ChartType, SPChart, parse_chart, rearrange
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChartType",
-    "Clustering",
-    "GenSpec",
-    "SPChart",
-    "TrialReport",
-    "__version__",
-    "generate_chart",
-    "parse_chart",
-    "rearrange",
-    "rnn_cluster",
-    "run_trials",
-    "score_baseline",
-]
+# each export and its module, imported on first use (PEP 562): importing the
+# package loads no numpy, so ``spcluster.cli`` can set numpy's threads first
+_EXPORTS = {
+    "Clustering": "clustering", "TrialReport": "clustering", "rnn_cluster": "clustering",
+    "run_trials": "clustering", "score_baseline": "clustering",
+    "GenSpec": "datagen", "generate_chart": "datagen",
+    "ChartType": "spchart", "SPChart": "spchart", "parse_chart": "spchart", "rearrange": "spchart",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

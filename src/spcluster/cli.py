@@ -13,7 +13,15 @@ import os
 import sys
 from pathlib import Path
 
-from . import clustering, datagen, render, report, spchart
+# One BLAS thread per process: trials, spread over SPCLUSTER_WORKERS worker
+# processes, are the only parallelism, and BLAS helper threads only spin or
+# oversubscribe the cores.  numpy reads these once, when it loads; a value the
+# user set wins, and once numpy has loaded they would only reach child processes.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
+from . import clustering, datagen, render, report, spchart  # noqa: E402
 
 EXIT_OK = 0
 EXIT_PARSE = 1

@@ -149,7 +149,7 @@ def converge_many(
 
     Each row is swept until a sweep flips nothing; rows do not interact.
     Equal rows share a trajectory, so only the R distinct rows are relaxed.
-    If 2^N <= max(R, 2^11), one sweep of a table of all 2^N states gives
+    If 2^N <= max(4R, 2^12), one sweep of a table of all 2^N states gives
     each state's successor, each row follows successors to a fixed point,
     and rows are grouped by its table index, the state's sign-bit key;
     else the rows are swept as the columns of one matrix and grouped by
@@ -194,7 +194,7 @@ def converge_many(
     # wb[j] @ xt is f + 1/2 for each column's field f: never 0, and of the
     # sign of f with sgn(0) = +1
     wb = np.hstack((w, np.full((n, 1), 0.5))).astype(dtype)
-    if 1 << n <= max(first.size, 1 << 11):  # the crossover measured in README
+    if 1 << n <= max(4 * first.size, 1 << 12):  # the crossover measured in README
         table, group, sweeps = _follow_table(wb, x[first], budget)
     else:
         xt = np.ones((n + 1, first.size), dtype)

@@ -487,6 +487,73 @@ def test_commands_never_import_numpy_random(argv, generated_chart, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(*args, **preset):
+    """Run ``python <args>`` with the package on the path and none of the BLAS
+    thread variables but those in ``preset`` (an earlier import of
+    ``spcluster.cli`` in this process may have set them); returns its stdout."""
+    src = str(Path(spcluster.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, preset, expected",
+    [
+        ("import spcluster.cli", {}, ["1", "1", "1"]),
+        ("import spcluster.cli", {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+        ("import spcluster", {}, [None, None, None]),
+        ("from spcluster import run_trials", {}, [None, None, None]),
+    ],
+    ids=["cli", "cli-keeps-a-set-value", "package", "library-export"],
+)
+def test_only_the_cli_pins_blas_threads(script, preset, expected):
+    probe = f"{script}\nimport json, os\nprint(json.dumps([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]))"
+    assert json.loads(run_python("-c", probe, **preset)) == expected
+
+
+def openblas_on_two_cpus():
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not openblas_on_two_cpus(), reason="needs Linux, 2 CPUs and an OpenBLAS numpy")
+def test_cli_import_starts_no_blas_thread():
+    # OpenBLAS starts its helper threads as numpy loads, one per further CPU
+    probe = "import spcluster.cli, os\nprint(len(os.listdir('/proc/self/task')))"
+    assert run_python("-c", probe) == "1\n"
+
+
+@pytest.mark.parametrize(
+    "students, problems, clusters, trials",
+    [(100, 10, 4, 20), (2000, 40, 8, 2)],
+    ids=["state-table", "column-loop"],
+)
+def test_reports_do_not_depend_on_blas_threads(tmp_path, students, problems, clusters, trials):
+    # the column loop's products over 2,000 rows are large enough for OpenBLAS to split
+    chart = datagen.generate_chart(datagen.GenSpec(spchart.ChartType.TEST, students, problems, seed=1))
+    path = tmp_path / "chart.csv"
+    path.write_text(spchart.chart_to_csv(chart))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        run_python("-m", "spcluster.cli", "cluster", "--input", str(path), "--clusters", str(clusters),
+                   "--trials", str(trials), "--seed", "1", "--output", str(out),
+                   OPENBLAS_NUM_THREADS=threads)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestRendering:
     def test_text_marks_curves(self):
         chart = spchart.parse_chart("1,1\n1,0")

@@ -230,10 +230,10 @@ class TestConverge:
     def test_budget_exhaustion_is_loud(self, monkeypatch):
         # all +1 needs a flipping sweep and a confirming one, as unit 0's
         # field is 1 - n, so a budget of one sweep leaves it still changing;
-        # two components take the state table, twelve with one row the
+        # two components take the state table, thirteen with one row the
         # column loop
         monkeypatch.setattr(hopfield, "sweep_bound", lambda *args: 1)
-        for n in (2, 12):
+        for n in (2, 13):
             patterns = [[1] + [0] * (n - 1)]  # for n = 2 the network [[0, -1], [-1, 0]]
             with pytest.raises(hopfield.NetworkError):
                 converge(np.ones(n, dtype=np.int8), hebbian_learn(patterns))
@@ -298,8 +298,8 @@ class TestConvergeManyAgainstScalar:
     @example(8, 70, 0)  # rows over 64 components are keyed by two words
     @example(8, 64, 0)
     @example(8, 129, 0)
-    @example(8, 11, 0)  # the most components the state table always takes
-    @example(8, 12, 0)  # the fewest the column loop takes for a few rows
+    @example(8, 12, 0)  # the most components the state table always takes
+    @example(8, 13, 0)  # the fewest the column loop takes for a few rows
     def test_hebbian_networks(self, m, n, seed):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
@@ -364,9 +364,11 @@ class TestConvergeManyAgainstScalar:
             assert np.array_equal(attractors[labels[k]], res.fixed_point)
             assert sweeps[k] == res.sweeps_used
 
-    # 2^N <= max(R, 2^11) takes the state table: every batch up to 11
-    # components, and a batch of 12 only when it holds all 4,096 states
-    @pytest.mark.parametrize("n, count, table", [(11, 5, True), (12, 4096, True), (12, 4095, False)])
+    # 2^N <= max(4R, 2^12) takes the state table: every batch up to 12
+    # components, and a batch of 13 only from 2,048 distinct rows
+    @pytest.mark.parametrize(
+        "n, count, table", [(11, 5, True), (12, 5, True), (13, 2048, True), (13, 2047, False)]
+    )
     def test_both_sides_of_the_state_table_rule(self, monkeypatch, n, count, table):
         rng = np.random.default_rng(n + count)
         patterns = rng.integers(0, 2, size=(4, n))
@@ -402,7 +404,7 @@ class TestConvergeManyAgainstScalar:
         assert (attractors.shape, attractors.dtype) == ((0, 3), np.int8)
         assert (sweeps.shape, sweeps.dtype) == ((0,), np.int64)
         assert (labels.shape, labels.dtype) == ((0,), np.intp)
-        for n in (3, 12):  # the state table, and for 100 rows of 12 the column loop
+        for n in (3, 15):  # the state table, and for 100 rows of 15 the column loop
             attractors, _, _ = converge_many(all_states(n)[:100], [[1, 0, 1] * (n // 3)])
             assert attractors.dtype == np.int8
             with pytest.raises(ValueError):
@@ -443,8 +445,8 @@ class TestAttractorsAndLabels:
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
-    @example(8, 11, 0)  # the state table
-    @example(8, 12, 0)  # the column loop
+    @example(8, 12, 0)  # the state table
+    @example(8, 13, 0)  # the column loop
     @example(8, 70, 0)  # the column loop, rows keyed by two words
     def test_contract(self, m, n, seed):
         rng = np.random.default_rng(seed)
@@ -454,10 +456,15 @@ class TestAttractorsAndLabels:
 
     # one stored pattern of all ones: each field is the sum of the other
     # components, and every row settles at all +1 or all -1, table indices
-    # 2^n - 1 and 0; the rows run from all +1 down, so all +1 comes first
-    @pytest.mark.parametrize("n, count", [(11, 2**11), (12, 2**12), (12, 2**12 - 1)])
+    # 2^n - 1 and 0; the rows run from all +1 down by an odd stride, so all +1
+    # comes first and fewer than 2^n rows still spread over every state.
+    # Up to 12 components and from 2^11 rows of 13 they take the state table,
+    # and 2^11 - 1 rows of 13 the column loop
+    @pytest.mark.parametrize(
+        "n, count", [(11, 2**11), (12, 2**12), (12, 2**12 - 1), (13, 2**11), (13, 2**11 - 1)]
+    )
     def test_many_rows_share_an_attractor(self, n, count):
-        states = all_states(n)[::-1][:count]
+        states = all_states(n)[::-1][np.arange(count) * 5 % (1 << n)]
         attractors, labels = assert_attractor_contract(states, [[1] * n])
         assert attractors.tolist() == [[1] * n, [-1] * n]
         assert (np.bincount(labels) > count // 3).all()
