@@ -155,11 +155,10 @@ def select_representatives(chart: SPChart, m: int, seed: int) -> tuple[int, ...]
 class _ChartRows:
     """A chart prepared once for many trials.
 
-    ``states`` is the chart in bipolar form.  Its distinct rows are
-    numbered in order of the first student holding each: ``first[k]`` is
-    that student, ``inverse[i]`` is student i's distinct row, ``mult[k]``
-    is how many students hold row k, and ``weighted[k]`` is row k's bits
-    times ``mult[k]``, so that summing weighted rows gives column counts.
+    ``states`` is the chart in bipolar form.  Its distinct rows come in key
+    order: ``first[k]`` is the first student holding row k, ``inverse[i]``
+    is student i's row, ``mult[k]`` is how many students hold row k, and
+    ``weighted[k]`` is row k's bits times ``mult[k]``: summed, column counts.
     """
 
     chart: SPChart
@@ -193,9 +192,9 @@ def _trial(
     the students by terminal state.
 
     Returns every student's cluster label, each cluster's terminal state
-    and size, its ``_gammas``, and the sweeps every student took.  The
-    clusters are numbered by first discovery over student index.  Sizes
-    and column counts sum the distinct rows weighted by multiplicity.
+    and size, its ``_gammas``, and the sweeps every student took, with the
+    clusters in ``converge_many``'s order, on which no score depends.
+    Sizes and column counts sum the distinct rows weighted by multiplicity.
     """
     patterns = rows.chart.bits[list(reps)]
     grouping = (rows.first, rows.inverse)
@@ -218,7 +217,7 @@ def _clusters(members: np.ndarray, sizes, fixed_points, scores) -> tuple[Cluster
 
 def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.ndarray]:
     """The full clustering for ``rep_indices``, with member lists, and the
-    sweeps every student took."""
+    sweeps every student took.  This is the one place that orders clusters."""
     chart = rows.chart
     reps = tuple(int(i) for i in rep_indices)
     for i in reps:
@@ -227,7 +226,10 @@ def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.
     labels, points, sizes, scores, sweeps = _trial(rows, reps)
     members = np.argsort(labels, kind="stable")
     fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
-    return Clustering(_clusters(members, sizes, fixed_points, scores), chart, reps), sweeps
+    clusters = _clusters(members, sizes, fixed_points, scores)
+    # members ascend, so a cluster's first member is its first discovery
+    clusters = tuple(sorted(clusters, key=lambda c: c.member_indices[0]))
+    return Clustering(clusters, chart, reps), sweeps
 
 
 def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:

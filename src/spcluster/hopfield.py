@@ -112,12 +112,13 @@ def sweep_bound(w: np.ndarray) -> int:
 def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a +-1 matrix by an exact key.
 
-    Returns ``first``, the index of the first occurrence of each distinct
-    row in ascending order, and ``inverse``, which maps every row to its
+    Returns ``first``, the first occurrence of each distinct row, in
+    ascending order of the row's key, its sign-bit integer
+    sum_j 2^j [x_j = +1], and ``inverse``, which maps every row to its
     position in ``first``.  Each word of up to 64 columns is keyed by its
     sign bits packed into the narrowest unsigned type (numpy radix-sorts 8
-    and 16 bits).  One stable sort over the words groups equal rows, and
-    stability makes each group's first sorted row its first occurrence.
+    and 16 bits).  One stable sort over the words, highest first, groups
+    equal rows in key order and finds each group's first occurrence.
     """
     x = np.asarray(states)
     keys = []
@@ -131,14 +132,9 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
     starts[:1] = True
     for key in keys:
         starts[1:] |= key[order[1:]] != key[order[:-1]]
-    # renumber the groups from key order to order of first occurrence
-    first = order[starts]
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
-    return first[by_first], rank[inverse]
+    return order[starts], inverse
 
 
 def converge_many(
@@ -151,12 +147,13 @@ def converge_many(
     Equal rows share a trajectory, so only the R distinct rows are relaxed.
     If 2^N <= max(4R, 2^12), one sweep of a table of all 2^N states gives
     each state's successor, each row follows successors to a fixed point,
-    and rows are grouped by its table index, the state's sign-bit key;
+    and rows are grouped by their table index, the state's sign-bit key;
     else the rows are swept as the columns of one matrix and grouped by
-    ``distinct_rows``.  Groups are numbered by their first input row.
-    ``rows`` is ``distinct_rows(states)``, possibly with the distinct rows
-    reordered; a caller relaxing the same states under many networks
-    passes it to group them once.
+    ``distinct_rows``.  The attractors come in ascending key order, so
+    any order of the input rows gives the same ones, with ``sweeps`` and
+    ``labels`` permuted to match.  ``rows``, ``distinct_rows(states)``
+    with its distinct rows in any order, lets a caller relaxing the same
+    states under many networks group them once.
 
     A unit update is one float product of [w_j, 1/2] with every state (the
     columns of a matrix over a row of ones): each field plus 1/2.  Every
@@ -173,8 +170,9 @@ def converge_many(
     at ``attractors[labels[i]]``.  Every row settles within
     ``sweep_bound(w)`` sweeps or the call raises ``NetworkError``.  Also
     raises ``NetworkError`` for patterns that are not binary, for states
-    that are not -1/+1 rows of the patterns' width, and for ``rows`` that
-    do not group the states.
+    that are not -1/+1 rows of the patterns' width, and for ``rows`` with
+    an ``inverse`` not of one entry per state or a ``first[k]`` outside
+    group k; a group's rows are not compared, and all take its attractor.
     """
     w = hebbian_learn(patterns)
     m, n = len(patterns), w.shape[0]
@@ -190,12 +188,18 @@ def converge_many(
 
     first, inverse = distinct_rows(x) if rows is None else rows
     if inverse.shape != (x.shape[0],) or (inverse[first] != np.arange(first.size)).any():
-        raise NetworkError("rows do not group these states")
+        raise NetworkError("rows need one inverse entry per state and each first[k] in group k")
     # wb[j] @ xt is f + 1/2 for each column's field f: never 0, and of the
     # sign of f with sgn(0) = +1
     wb = np.hstack((w, np.full((n, 1), 0.5))).astype(dtype)
     if 1 << n <= max(4 * first.size, 1 << 12):  # the crossover measured in README
-        table, group, sweeps = _follow_table(wb, x[first], budget)
+        table, cur, sweeps = _follow_table(wb, x[first], budget)
+        reached = np.zeros(table.shape[1], dtype=bool)
+        reached[cur] = True  # a terminal index is its state's key
+        found = np.flatnonzero(reached)
+        group = np.empty(table.shape[1], dtype=np.intp)
+        group[found] = np.arange(found.size)
+        attractors, group = table[:n, found].T.astype(np.int8), group[cur]
     else:
         xt = np.ones((n + 1, first.size), dtype)
         xt[:n] = x[first].T
@@ -221,17 +225,9 @@ def converge_many(
         else:
             raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
         keys, group = distinct_rows(final)
-        table = final[keys].T  # as on the other path, column group[k] is row k's terminal state
-    # number the groups by their first input row: reordered rows change nothing
-    head = np.full(table.shape[1], x.shape[0])
-    np.minimum.at(head, group, first)
-    found = np.flatnonzero(head < x.shape[0])
-    found = found[np.argsort(head[found])]
-    label = np.empty(table.shape[1], dtype=np.intp)
-    label[found] = np.arange(found.size)
-    attractors = table[:n, found].T.astype(np.int8)
+        attractors = final[keys]
     attractors.flags.writeable = False
-    return attractors, sweeps[inverse], label[group][inverse]
+    return attractors, sweeps[inverse], group[inverse]
 
 
 @functools.lru_cache(maxsize=1)

@@ -264,6 +264,8 @@ class TestRnnCluster:
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(list(spchart.ChartType)), st.integers(1, 60), st.integers(1, 12),
            st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(spchart.ChartType.TEST, 60, 13, 5, 0)  # the column loop
+    @example(spchart.ChartType.DRILL, 60, 70, 5, 0)  # the column loop, two key words
     def test_matches_dict_grouping_reference(self, chart_type, students, problems, m, seed):
         chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
         reps = select_representatives(chart, min(m, students), seed)

@@ -329,6 +329,12 @@ class TestConvergeManyAgainstScalar:
             for got, want in zip(converge_many(states, patterns, rows), expected):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+        # so may the input rows: the same attractors, sweeps and labels permuted
+        perm = rng.permutation(len(states))
+        attractors, sweeps, labels = converge_many(states[perm], patterns)
+        assert np.array_equal(attractors, expected[0])
+        assert np.array_equal(sweeps, expected[1][perm])
+        assert np.array_equal(labels, expected[2][perm])
 
     # one pattern repeated m times: every |w_jk| is m, so each row sum of
     # |w| reaches the closed form's bound m (n - 1), here 2^23 - 8 and 2^23
@@ -425,15 +431,22 @@ class TestConvergeManyAgainstScalar:
             converge_many(states, patterns)
 
 
+def sign_key(row):
+    """A +-1 row's sign-bit key, sum_j 2^j [x_j = +1], as a Python int."""
+    return sum(1 << j for j, v in enumerate(row.tolist()) if v == 1)
+
+
 def assert_attractor_contract(states, patterns):
     """Row k settles at ``attractors[labels[k]]``, the scalar ``converge``'s
-    fixed point; labels are numbered by first occurrence over the rows;
-    the attractors are distinct and no sweep changes them."""
+    fixed point; the labels use every attractor; the attractors are
+    distinct, in strictly ascending key order, and no sweep changes them."""
     attractors, _, labels = converge_many(states, patterns)
     w = hebbian_learn(patterns)
     for k, state in enumerate(states):
         assert np.array_equal(attractors[labels[k]], converge(state, w).fixed_point)
-    assert list(dict.fromkeys(labels.tolist())) == list(range(len(attractors)))
+    assert sorted(set(labels.tolist())) == list(range(len(attractors)))
+    keys = [sign_key(a) for a in attractors]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert len({a.tobytes() for a in attractors}) == len(attractors)
     assert not any(sweep(a, w)[1] for a in attractors)
     return attractors, labels
@@ -456,8 +469,8 @@ class TestAttractorsAndLabels:
 
     # one stored pattern of all ones: each field is the sum of the other
     # components, and every row settles at all +1 or all -1, table indices
-    # 2^n - 1 and 0; the rows run from all +1 down by an odd stride, so all +1
-    # comes first and fewer than 2^n rows still spread over every state.
+    # 2^n - 1 and 0, so all -1 comes first; the rows run from all +1 down by
+    # an odd stride, so fewer than 2^n rows still spread over every state.
     # Up to 12 components and from 2^11 rows of 13 they take the state table,
     # and 2^11 - 1 rows of 13 the column loop
     @pytest.mark.parametrize(
@@ -466,7 +479,7 @@ class TestAttractorsAndLabels:
     def test_many_rows_share_an_attractor(self, n, count):
         states = all_states(n)[::-1][np.arange(count) * 5 % (1 << n)]
         attractors, labels = assert_attractor_contract(states, [[1] * n])
-        assert attractors.tolist() == [[1] * n, [-1] * n]
+        assert attractors.tolist() == [[-1] * n, [1] * n]
         assert (np.bincount(labels) > count // 3).all()
 
     def test_many_wide_rows_share_an_attractor(self):
@@ -479,8 +492,10 @@ class TestAttractorsAndLabels:
 def assert_groups_as_unique_rows_do(states):
     first, inverse = hopfield.distinct_rows(states)
     _, ref_first, ref_inverse = np.unique(states, axis=0, return_index=True, return_inverse=True)
-    # numbered in order of first occurrence, whatever order the keys sort in
-    assert np.array_equal(first, np.sort(ref_first))
+    # the same first occurrences, in ascending key order, and the same grouping
+    assert np.array_equal(np.sort(first), np.sort(ref_first))
+    keys = [sign_key(row) for row in states[first]]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert np.array_equal(first[inverse], ref_first[ref_inverse.ravel()])
 
 
