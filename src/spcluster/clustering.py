@@ -105,6 +105,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """
     if master_seed < 0:  # -1 would fold like 2^64 - 1
         raise ClusteringError("master seed must be non-negative")
+    if not 0 <= trial_index <= _MASK:  # 2^64 would fold like 0
+        raise ClusteringError(f"trial index must be in [0, 2^64), got {trial_index}")
     h = 0
     for shift in range(0, max(master_seed.bit_length(), 1), 64):
         h = _mix(((h ^ ((master_seed >> shift) & _MASK)) + _GAMMA) & _MASK)
@@ -147,6 +149,8 @@ def _draw(population: int, m: int, seed: int) -> tuple[int, ...]:
 def select_representatives(chart: SPChart, m: int, seed: int) -> tuple[int, ...]:
     """Draw m distinct student indices uniformly without replacement,
     from the 64-bit ``seed`` (``_draw``)."""
+    if not 0 <= seed <= _MASK:  # -1 would draw as 2^64 - 1 does
+        raise ClusteringError(f"seed must be in [0, 2^64), got {seed}")
     _check_m(m, chart.num_students)
     return _draw(chart.num_students, m, seed)
 
@@ -332,6 +336,8 @@ def run_trials(
         raise ClusteringError("need at least one trial")
     if master_seed < 0:
         raise ClusteringError("master seed must be non-negative")
+    if workers < 1:
+        raise ClusteringError(f"need at least one worker, got {workers}")
     _check_m(m, chart.num_students)
 
     rows = _prepare(chart)

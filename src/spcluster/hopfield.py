@@ -23,17 +23,7 @@ import numpy as np
 
 
 class NetworkError(ValueError):
-    """Base class for connection-matrix and state validation failures."""
-
-
-class NotSymmetric(NetworkError):
-    def __init__(self) -> None:
-        super().__init__("connection matrix must be symmetric off the diagonal")
-
-
-class NonzeroDiagonal(NetworkError):
-    def __init__(self) -> None:
-        super().__init__("connection matrix must have a zero diagonal")
+    """A refused connection matrix, pattern or state, or a row still changing."""
 
 
 def bipolar_from_binary(v) -> np.ndarray:
@@ -70,16 +60,17 @@ def hebbian_learn(patterns) -> np.ndarray:
     return w
 
 
-# the tests' scalar converge validates with it; it stays here as bench/tracer.py wraps it
 def check_weights(w: np.ndarray) -> np.ndarray:
-    """Validate the fixed-point convergence condition; returns w."""
+    """Return w if it is square, zero-diagonal and symmetric, as relaxation
+    needs, else raise ``NetworkError``.  ``hebbian_learn`` weights are so by
+    construction; the tests' scalar ``converge`` checks any matrix with it."""
     w = np.asarray(w)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise NetworkError("connection matrix must be square")
     if (np.diagonal(w) != 0).any():
-        raise NonzeroDiagonal()
+        raise NetworkError("connection matrix must have a zero diagonal")
     if (w != w.T).any():
-        raise NotSymmetric()
+        raise NetworkError("connection matrix must be symmetric off the diagonal")
     return w
 
 

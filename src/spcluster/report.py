@@ -12,8 +12,6 @@ from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from math import isfinite
 from operator import itemgetter
 
-import numpy as np
-
 from . import spchart
 from .clustering import TrialReport, TrialSummary
 from .spchart import SPChart
@@ -47,10 +45,6 @@ def build_cluster_report(
 ) -> dict:
     chart = best.clustering.chart
     won = best.summary
-    # one pass gives both chart figures; the counts' total over L * N is a
-    # correctly rounded ratio of exact integers, the float chart.bits.mean() is
-    counts = chart.bits.sum(axis=0, dtype=np.int64)
-    caution = spchart.caution_from_counts(counts[None, :], [chart.num_students])[0]
     return {
         "format_version": FORMAT_VERSION,
         "command": command,
@@ -59,8 +53,8 @@ def build_cluster_report(
         "chart": {
             "students": chart.num_students,
             "problems": chart.num_problems,
-            "chart_type": spchart.classify_rate(int(counts.sum()) / chart.bits.size).value,
-            "average_caution": caution,
+            "chart_type": spchart.classify_type(chart).value,
+            "average_caution": spchart.average_caution(chart),
         },
         "f1": won.f1,
         "f2": won.f2,

@@ -411,8 +411,9 @@ def classify_rate(rate: float) -> ChartType:
 
 
 def classify_type(chart: SPChart) -> ChartType:
-    """Classify by the mean correct rate over all cells (``classify_rate``)."""
-    return classify_rate(float(chart.bits.mean()))
+    """Classify by the exact ratio of 1 cells to all cells, correctly rounded
+    (``classify_rate``); ``inspect`` and the report both classify with it."""
+    return classify_rate(np.count_nonzero(chart.bits) / chart.bits.size)
 
 
 def caution_from_counts(counts, sizes) -> list[float]:

@@ -106,6 +106,13 @@ class TestSelectRepresentatives:
         with pytest.raises(MTooLarge):
             select_representatives(chart, 2, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # the stream's state is one word: -1 would draw as 2^64 - 1 does, 2^64 + 5 as 5
+        chart = chart_of(np.eye(8, dtype=np.int8))
+        with pytest.raises(clustering.ClusteringError, match="seed must be in"):
+            select_representatives(chart, 4, seed)
+
     def test_uniformity_within_three_sigma(self):
         chart = chart_of(np.zeros((10, 2), dtype=np.int8) + np.eye(10, 2, dtype=np.int8))
         draws = 100_000
@@ -198,6 +205,12 @@ class TestTrialSeed:
     def test_negative_master_seed_is_refused(self):
         with pytest.raises(clustering.ClusteringError):
             trial_seed(-1, 0)
+
+    @pytest.mark.parametrize("t", [-1, 2**64, 2**64 + 5])
+    def test_trial_index_outside_64_bits_is_refused(self, t):
+        # t is folded in as one word: 2^64 would fold like 0, -1 like 2^64 - 1
+        with pytest.raises(clustering.ClusteringError, match="trial index must be in"):
+            trial_seed(7, t)
 
 
 class TestRnnCluster:
@@ -517,6 +530,12 @@ class TestRunTrials:
             run_trials(chart, 5, 1, master_seed=0)
         with pytest.raises(clustering.ClusteringError):
             run_trials(chart, 2, 2, -1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_are_refused(self, workers):
+        chart = chart_of([[1, 0], [0, 1]])
+        with pytest.raises(clustering.ClusteringError, match="at least one worker"):
+            run_trials(chart, 2, 2, master_seed=0, workers=workers)
 
     def test_kernel_errors_abort_the_run(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,13 +1,14 @@
 import csv
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcluster import spchart
+from spcluster import clustering, report, spchart
 from spcluster.datagen import GenSpec, generate_chart
 from spcluster.spchart import (
     ChartType,
@@ -401,6 +402,20 @@ class TestParse:
     def test_round_trip_any_chart(self, chart):
         assert spchart.parse_chart(spchart.chart_to_csv(chart)) == chart
 
+    def test_parse_memory_is_bounded_by_the_file(self):
+        # a tall drill chart, read on the byte path: its parse peaked at 6.79
+        # times the file's 3,088,937 bytes (Python 3.11, numpy 2.4)
+        drill = generate_chart(GenSpec(ChartType.DRILL, 100_000, 12, seed=1))
+        raw = spchart.chart_to_csv(drill).encode()
+        tracemalloc.start()
+        try:
+            chart = spchart.parse_chart(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chart.num_students == 100_000
+        assert peak <= 8 * len(raw)
+
 
 class TestRearrange:
     def test_all_ones_is_identity(self):
@@ -453,6 +468,13 @@ class TestRearrange:
         assert list(rc.p_totals) == sorted(rc.p_totals, reverse=True)
 
 
+# one row of 20 cells with a mean of exactly 0.65 and of exactly 0.35
+BOUNDARY_ROWS = {
+    ChartType.DRILL: [[1] * 13 + [0] * 7],
+    ChartType.PRETEST: [[1] * 7 + [0] * 13],
+}
+
+
 class TestClassify:
     def test_half_rate_is_test(self):
         assert spchart.classify_type(chart_of([[1, 0], [0, 1]])) is ChartType.TEST
@@ -462,10 +484,16 @@ class TestClassify:
         assert spchart.classify_type(chart_of([[0, 0], [0, 0]])) is ChartType.PRETEST
 
     def test_boundaries_inclusive(self):
-        drill = chart_of([[1] * 13 + [0] * 7])  # mean exactly 0.65
-        pretest = chart_of([[1] * 7 + [0] * 13])  # mean exactly 0.35
-        assert spchart.classify_type(drill) is ChartType.DRILL
-        assert spchart.classify_type(pretest) is ChartType.PRETEST
+        for chart_type, rows in BOUNDARY_ROWS.items():
+            assert spchart.classify_type(chart_of(rows)) is chart_type
+
+    @pytest.mark.parametrize("chart_type", [ChartType.DRILL, ChartType.PRETEST])
+    def test_report_uses_the_same_figures(self, chart_type):
+        chart = chart_of(BOUNDARY_ROWS[chart_type])
+        best = clustering.score_baseline(chart, 1)
+        figures = report.build_cluster_report("baseline", b"", {}, best, [best.summary])["chart"]
+        assert figures["chart_type"] == chart_type.value == spchart.classify_type(chart).value
+        assert figures["average_caution"] == spchart.average_caution(chart)
 
     def test_rate_thresholds(self):
         assert spchart.classify_rate(0.65) is ChartType.DRILL
