@@ -159,14 +159,13 @@ def select_representatives(chart: SPChart, m: int, seed: int) -> tuple[int, ...]
 class _ChartRows:
     """A chart prepared once for many trials.
 
-    ``states`` is the chart in bipolar form.  Its distinct rows come in key
-    order: ``first[k]`` is the first student holding row k, ``inverse[i]``
-    is student i's row, ``mult[k]`` is how many students hold row k, and
-    ``weighted[k]`` is row k's bits times ``mult[k]``: summed, column counts.
+    The chart's distinct rows come in key order: ``first[k]`` is the first
+    student holding row k, ``inverse[i]`` is student i's row, ``mult[k]``
+    is how many students hold row k, and ``weighted[k]`` is row k's bits
+    times ``mult[k]``: summed, column counts.
     """
 
     chart: SPChart
-    states: np.ndarray
     first: np.ndarray
     inverse: np.ndarray
     mult: np.ndarray
@@ -174,11 +173,10 @@ class _ChartRows:
 
 
 def _prepare(chart: SPChart) -> _ChartRows:
-    states = hopfield.bipolar_from_binary(chart.bits)
-    first, inverse = hopfield.distinct_rows(states)
+    first, inverse = hopfield.distinct_rows(chart.bits)
     mult = np.bincount(inverse)
     weighted = chart.bits[first] * mult[:, None]
-    return _ChartRows(chart, states, first, inverse, mult, weighted)
+    return _ChartRows(chart, first, inverse, mult, weighted)
 
 
 def _gammas(rows: np.ndarray, spans, sizes) -> tuple[list[float], list[int]]:
@@ -202,7 +200,7 @@ def _trial(
     """
     patterns = rows.chart.bits[list(reps)]
     grouping = (rows.first, rows.inverse)
-    points, sweeps, labels = hopfield.converge_many(rows.states, patterns, grouping)
+    points, sweeps, labels = hopfield.converge_many(rows.chart.bits, patterns, grouping)
     distinct = labels[rows.first]
     sizes = np.bincount(distinct, weights=rows.mult).astype(np.int64)
     by_cluster = rows.weighted[np.argsort(distinct, kind="stable")]
@@ -228,8 +226,9 @@ def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
     labels, points, sizes, scores, sweeps = _trial(rows, reps)
-    members = np.argsort(labels, kind="stable")
-    fixed_points = [tuple(p) for p in hopfield.binary_from_bipolar(points).tolist()]
+    # labels in their narrowest type: numpy sorts up to 16 bits by a stable radix sort
+    members = np.argsort(labels.astype(np.min_scalar_type(len(points) - 1)), kind="stable")
+    fixed_points = [tuple(p) for p in points.tolist()]
     clusters = _clusters(members, sizes, fixed_points, scores)
     # members ascend, so a cluster's first member is its first discovery
     clusters = tuple(sorted(clusters, key=lambda c: c.member_indices[0]))

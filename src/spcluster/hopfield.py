@@ -6,10 +6,11 @@ updated earlier in the same sweep, with sgn(0) = +1.  The network is the
 one correlation learning builds from M binary patterns
 (``hebbian_learn``): a symmetric, zero-diagonal integer matrix, under
 which every trajectory reaches a fixed point within ``sweep_bound(w)``
-sweeps.  ``converge_many`` relaxes a batch of states under the network
-of the patterns it is given, by sweeping its distinct rows or, for small
-N, a table of all 2^N states once, groups them by fixed point, and
-raises ``NetworkError`` if a state is still changing at that bound, so
+sweeps.  ``converge_many`` takes and returns states as 0/1 rows (+-1
+exists only inside it): it relaxes a batch under the network of the
+patterns it is given, by sweeping its distinct rows or, for small N, a
+table of all 2^N states once, groups them by fixed point, and raises
+``NetworkError`` if a state is still changing at that bound, so
 nonconvergence can never pass silently.  Its float products, each a
 field plus 1/2, are exact half-integers, so results are reproducible
 bit for bit; the tests check it against a scalar integer reference.
@@ -32,14 +33,6 @@ def bipolar_from_binary(v) -> np.ndarray:
     if not ((b == 0) | (b == 1)).all():
         raise NetworkError("binary vector entries must all be 0 or 1")
     return (2 * b.astype(np.int8) - 1).astype(np.int8)
-
-
-def binary_from_bipolar(x) -> np.ndarray:
-    """Inverse of ``bipolar_from_binary``: +1 -> 1, -1 -> 0."""
-    s = np.asarray(x)
-    if not ((s == -1) | (s == 1)).all():
-        raise NetworkError("bipolar vector entries must all be -1 or +1")
-    return ((s + 1) // 2).astype(np.int8)
 
 
 def hebbian_learn(patterns) -> np.ndarray:
@@ -101,15 +94,15 @@ def sweep_bound(w: np.ndarray) -> int:
 
 
 def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of a +-1 matrix by an exact key.
+    """Group equal rows of a 0/1 matrix by an exact key.
 
     Returns ``first``, the first occurrence of each distinct row, in
-    ascending order of the row's key, its sign-bit integer
-    sum_j 2^j [x_j = +1], and ``inverse``, which maps every row to its
-    position in ``first``.  Each word of up to 64 columns is keyed by its
-    sign bits packed into the narrowest unsigned type (numpy radix-sorts 8
-    and 16 bits).  One stable sort over the words, highest first, groups
-    equal rows in key order and finds each group's first occurrence.
+    ascending order of the row's key sum_j 2^j [x_j > 0], and ``inverse``,
+    which maps every row to its position in ``first``.  Each word of up to
+    64 columns is keyed by those bits packed into the narrowest unsigned
+    type (numpy radix-sorts 8 and 16 bits).  One stable sort over the
+    words, highest first, groups equal rows in key order and finds each
+    group's first occurrence.
     """
     x = np.asarray(states)
     keys = []
@@ -131,20 +124,22 @@ def distinct_rows(states) -> tuple[np.ndarray, np.ndarray]:
 def converge_many(
     states, patterns, rows: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relax every row of a B x N state matrix under the network that
-    ``hebbian_learn`` builds from the M x N binary ``patterns``.
+    """Relax every row of a B x N 0/1 matrix, a state with 1 for +1 and 0
+    for -1, under the network ``hebbian_learn`` builds from the M x N
+    binary ``patterns``.
 
     Each row is swept until a sweep flips nothing; rows do not interact.
-    Equal rows share a trajectory, so only the R distinct rows are relaxed.
-    If 2^N <= max(4R, 2^12), one sweep of a table of all 2^N states gives
-    each state's successor, each row follows successors to a fixed point,
-    and rows are grouped by their table index, the state's sign-bit key;
-    else the rows are swept as the columns of one matrix and grouped by
-    ``distinct_rows``.  The attractors come in ascending key order, so
-    any order of the input rows gives the same ones, with ``sweeps`` and
-    ``labels`` permuted to match.  ``rows``, ``distinct_rows(states)``
-    with its distinct rows in any order, lets a caller relaxing the same
-    states under many networks group them once.
+    Equal rows share a trajectory, so only the R distinct rows are mapped
+    to +-1 and relaxed.  If 2^N <= max(4R, 2^12), one sweep of a table of
+    all 2^N states gives each state's successor, each row follows
+    successors from its table index, sum_j 2^j b_j, to a fixed point, and
+    rows are grouped by the terminal index; else the rows are swept as the
+    columns of one matrix and grouped by ``distinct_rows``.  The
+    attractors come in ascending key order, so any order of the input
+    rows gives the same ones, with ``sweeps`` and ``labels`` permuted to
+    match.  ``rows``, ``distinct_rows(states)`` with its distinct rows in
+    any order, lets a caller relaxing the same states under many networks
+    group them once.
 
     A unit update is one float product of [w_j, 1/2] with every state (the
     columns of a matrix over a row of ones): each field plus 1/2.  Every
@@ -155,13 +150,13 @@ def converge_many(
     1/2 below 2^52.  M (N - 1) cannot reach 2^52: ``hebbian_learn`` holds
     the patterns as int64, 8 M N bytes, which would then be 32 PiB.
 
-    Returns ``(attractors, sweeps, labels)``: the read-only K x N int8
-    distinct terminal states, per-row sweep counts (counting the final
-    sweep that flips nothing), and per-row labels, so that row i settles
-    at ``attractors[labels[i]]``.  Every row settles within
+    Returns ``(attractors, sweeps, labels)``: the read-only K x N int8 0/1
+    images of the distinct terminal states, per-row sweep counts (counting
+    the final sweep that flips nothing), and per-row labels, so that row i
+    settles at ``attractors[labels[i]]``.  Every row settles within
     ``sweep_bound(w)`` sweeps or the call raises ``NetworkError``.  Also
     raises ``NetworkError`` for patterns that are not binary, for states
-    that are not -1/+1 rows of the patterns' width, and for ``rows`` with
+    that are not 0/1 rows of the patterns' width, and for ``rows`` with
     an ``inverse`` not of one entry per state or a ``first[k]`` outside
     group k; a group's rows are not compared, and all take its attractor.
     """
@@ -172,8 +167,8 @@ def converge_many(
         raise NetworkError("states must form a B x N matrix")
     if x.shape[1] != n:
         raise NetworkError(f"states have {x.shape[1]} components but patterns have {n}")
-    if not ((x == 1) | (x == -1)).all():
-        raise NetworkError("state entries must all be -1 or +1")
+    if not ((x == 0) | (x == 1)).all():
+        raise NetworkError("state entries must all be 0 or 1")
     budget = sweep_bound(w)
     dtype = np.float32 if m * (n - 1) < 2**23 else np.float64
 
@@ -190,10 +185,13 @@ def converge_many(
         found = np.flatnonzero(reached)
         group = np.empty(table.shape[1], dtype=np.intp)
         group[found] = np.arange(found.size)
-        attractors, group = table[:n, found].T.astype(np.int8), group[cur]
+        attractors, group = (table[:n, found] > 0).T.astype(np.int8), group[cur]
     else:
         xt = np.ones((n + 1, first.size), dtype)
-        xt[:n] = x[first].T
+        start = x[first].astype(np.int8, copy=False)  # a copy, mapped to +-1 in place
+        start *= 2
+        start -= 1
+        xt[:n] = start.T
         ids = np.arange(first.size)  # column c of xt is row ids[c]
         changes = np.zeros(first.size, dtype=np.int64)
         final = np.empty((first.size, n), dtype=np.int8)
@@ -216,7 +214,7 @@ def converge_many(
         else:
             raise NetworkError(f"{moving} distinct rows still changing after {budget} sweeps")
         keys, group = distinct_rows(final)
-        attractors = final[keys]
+        attractors = (final[keys] > 0).astype(np.int8)
     attractors.flags.writeable = False
     return attractors, sweeps[inverse], group[inverse]
 
@@ -241,18 +239,20 @@ def _sweep(wb: np.ndarray, xt: np.ndarray) -> None:
 def _follow_table(
     wb: np.ndarray, starts: np.ndarray, budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The state table, and the terminal column and sweep count of each row
-    of ``starts``, which steps through successors until a step changes nothing."""
+    """The state table, and the terminal column and sweep count of each 0/1
+    row of ``starts``, which steps through successors until a step changes
+    nothing."""
     n = starts.shape[1]
     table = _state_table(n, wb.dtype)
     xt = table.copy()
     _sweep(wb, xt)
-    # a state's index is sum_j 2^j (x_j + 1) / 2 = sum_j 2^(j-1) x_j + (2^n - 1) / 2:
-    # every partial sum is a multiple of 1/2 below 2^n: exact in float32 for n <= 23
+    # a state's index is sum_j 2^j b_j for its 0/1 image b, and for its +-1 form x
+    # sum_j 2^(j-1) x_j + (2^n - 1) / 2: every partial sum of either is a
+    # multiple of 1/2 below 2^n, exact in float32 for n <= 23
     half = np.ldexp(np.ones(n + 1, np.float32 if n <= 23 else np.float64), np.arange(-1, n))
+    cur = (starts @ half[1:]).astype(np.intp)  # half[j + 1] is 2^j
     half[n] = (2.0**n - 1) / 2
     succ = (half @ xt).astype(np.intp)
-    cur = (starts @ half[:n] + half[n]).astype(np.intp)
     sweeps = np.ones(len(starts), dtype=np.int64)
     for _ in range(budget):
         step = succ[cur]

@@ -217,9 +217,9 @@ def _window_bits(codes: np.ndarray, ends: np.ndarray, skip: int, width: int) -> 
 def _labels(codes: np.ndarray, starts: np.ndarray, cuts: np.ndarray) -> list[str] | None:
     """Each ``codes[starts[i]:cuts[i]]``, which a comma follows, stripped, or
     None if one holds a comma.  All are gathered, decoded and split at once."""
-    sizes = cuts + 1 - starts
-    base = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    picked = codes[base + np.arange(base.size)]
+    # runs of bytes to drop and to keep in turn, each kept run a label and its comma
+    runs = np.diff(np.column_stack((starts, cuts + 1)).ravel(), prepend=0, append=codes.size)
+    picked = codes[np.repeat(np.tile([False, True], starts.size + 1)[:-1], runs)]
     if np.count_nonzero(picked == ord(",")) != starts.size:
         return None
     labels = _line(picked).split(",")[:-1]

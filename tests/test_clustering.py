@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def reference_clusters(chart, rep_indices):
     out = []
     for point, members in groups.items():
         bits = chart.bits[members].astype(float)
-        point = tuple(hopfield.binary_from_bipolar(np.frombuffer(point, np.int8)).tolist())
+        point = tuple(((np.frombuffer(point, np.int8) + 1) // 2).tolist())
         out.append((tuple(members), point, float(np.abs(bits - bits.mean(axis=0)).mean())))
     return out
 
@@ -269,6 +270,22 @@ class TestRnnCluster:
         assert [c.member_indices for c in a.clusters] == [c.member_indices for c in b.clusters]
         assert [c.fixed_point for c in a.clusters] == [c.fixed_point for c in b.clusters]
 
+    def test_clusters_past_256_keep_their_order(self):
+        # 16 patterns from the columns of a 16 x 16 Hadamard matrix, each
+        # column over two units: w couples only the two units of a pair, so
+        # the network has 2^16 fixed points, and 1,000 random rows reach
+        # more than 256 of them: the winner's labels sort as uint16
+        h = np.ones((1, 1), dtype=np.int8)
+        for _ in range(4):
+            h = np.block([[h, h], [h, -h]])
+        rows = np.random.default_rng(5).integers(0, 2, size=(1000, 32))
+        chart = chart_of(np.vstack(((np.repeat(h, 2, axis=1) + 1) // 2, rows)))
+        result = rnn_cluster(chart, range(16))
+        expected = reference_clusters(chart, range(16))
+        assert len(result.clusters) > 256
+        assert [c.member_indices for c in result.clusters] == [e[0] for e in expected]
+        assert [c.fixed_point for c in result.clusters] == [e[1] for e in expected]
+
     def test_rejects_out_of_range_representative(self):
         chart = chart_of([[1, 0], [0, 1]])
         with pytest.raises(clustering.ClusteringError):
@@ -407,6 +424,19 @@ class TestTrialScoring:
         assert [len(e[0]) for e in expected] == [3, 1]
         assert summaries[0].f1 == f1([3, 1], 2)
         assert summaries[0].f2 == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
+
+    def test_prepare_holds_no_bipolar_copy_of_the_chart(self):
+        # keying the rows takes their bits as bools and packed into uint16
+        # words, 3 bytes a cell at the peak; one more L x N int8 array, such
+        # as a +-1 copy of the chart for the kernel, would reach 4
+        chart = datagen.generate_chart(GenSpec(spchart.ChartType.DRILL, 100_000, 12, seed=1))
+        tracemalloc.start()
+        try:
+            clustering._prepare(chart)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * chart.bits.size
 
 
 class TestScoreBaseline:

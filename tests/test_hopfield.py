@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spcluster import hopfield, spchart
 from spcluster.hopfield import (
-    binary_from_bipolar,
     bipolar_from_binary,
     converge_many,
     hebbian_learn,
@@ -26,6 +25,11 @@ from oracles import (
 )
 
 REF_W = np.array(REFERENCE_WEIGHTS, dtype=np.int64)
+
+
+def binary(states):
+    """The 0/1 image of +-1 states, as ``converge_many`` takes and returns them."""
+    return (np.asarray(states) + 1) // 2
 
 
 # independent oracles, kept deliberately naive
@@ -71,13 +75,11 @@ class TestBipolar:
     def test_round_trip_exhaustive(self):
         for n in range(1, 9):
             for bits in itertools.product((0, 1), repeat=n):
-                assert tuple(binary_from_bipolar(bipolar_from_binary(bits))) == bits
+                assert tuple(binary(bipolar_from_binary(bits)).tolist()) == bits
 
     def test_rejects_bad_values(self):
         with pytest.raises(hopfield.NetworkError):
             bipolar_from_binary([0, 2])
-        with pytest.raises(hopfield.NetworkError):
-            binary_from_bipolar([1, 0])
 
 
 ENTRY_VALUES = [
@@ -109,13 +111,14 @@ def accepts(check, values, error):
 
 @pytest.mark.parametrize("values", ENTRY_VALUES, ids=lambda v: f"{v.dtype}{v.tolist()}")
 def test_entry_checks_accept_exactly_what_isin_accepts(values):
-    """Binary and bipolar checks accept the same arrays that np.isin does."""
+    """Binary checks accept the same arrays that np.isin does."""
     binary = bool(np.isin(values, (0, 1)).all())
-    bipolar = bool(np.isin(values, (-1, 1)).all())
     row = values.reshape(1, -1)
     assert accepts(bipolar_from_binary, values, hopfield.NetworkError) == binary
-    assert accepts(binary_from_bipolar, values, hopfield.NetworkError) == bipolar
     assert accepts(hebbian_learn, row, hopfield.NetworkError) == binary
+    assert accepts(
+        lambda states: converge_many(states, np.zeros(states.shape, np.int8)), row, hopfield.NetworkError
+    ) == binary
     ids = tuple(f"P{j + 1}" for j in range(values.size))
     assert accepts(
         lambda bits: spchart.SPChart(bits, ("S1",), ids), row, spchart.ChartError
@@ -216,7 +219,7 @@ class TestConverge:
             assert np.array_equal(res.fixed_point, bipolar_from_binary(point))
 
     def test_all_reference_states_converge(self):
-        _, sweeps, _ = converge_many(all_states(10), REFERENCE_PATTERNS)
+        _, sweeps, _ = converge_many(binary(all_states(10)), REFERENCE_PATTERNS)
         assert (sweeps >= 1).all()
         assert (sweeps <= sweep_bound(REF_W)).all()
 
@@ -275,10 +278,10 @@ class TestConverge:
         patterns = rng.integers(0, 2, size=(4, 9))
         w = hebbian_learn(patterns)
         starts = rng.choice([-1, 1], size=(40, 9))
-        attractors, sweeps, labels = converge_many(starts, patterns)
+        attractors, sweeps, labels = converge_many(binary(starts), patterns)
         for k in range(starts.shape[0]):
             res = converge(starts[k], w)
-            assert np.array_equal(res.fixed_point, attractors[labels[k]])
+            assert np.array_equal(binary(res.fixed_point), attractors[labels[k]])
             assert res.sweeps_used == sweeps[k]
 
 
@@ -301,15 +304,18 @@ class TestConvergeManyAgainstScalar:
     @example(8, 12, 0)  # the most components the state table always takes
     @example(8, 13, 0)  # the fewest the column loop takes for a few rows
     def test_hebbian_networks(self, m, n, seed):
+        # the kernel takes and returns 0/1 rows; the oracle relaxes their +-1 images
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
         states = repeated_rows(rng, n)
         w = hebbian_learn(patterns)
         expected = [converge(state, w) for state in states]
-        attractors, sweeps, labels = converge_many(states, patterns)
+        attractors, sweeps, labels = converge_many(binary(states), patterns)
         for k, res in enumerate(expected):
-            assert np.array_equal(attractors[labels[k]], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], binary(res.fixed_point))
             assert sweeps[k] == res.sweeps_used
+        # so rows share a label exactly when they share a fixed point
+        assert len(set(labels.tolist())) == len({res.fixed_point.tobytes() for res in expected})
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
@@ -318,7 +324,7 @@ class TestConvergeManyAgainstScalar:
     def test_precomputed_rows_change_nothing(self, m, n, seed):
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(m, n))
-        states = repeated_rows(rng, n)
+        states = binary(repeated_rows(rng, n))
         expected = converge_many(states, patterns)
         first, inverse = hopfield.distinct_rows(states)
         # the distinct rows may come in any order
@@ -364,10 +370,10 @@ class TestConvergeManyAgainstScalar:
             return dot(u, v, out=out)
 
         monkeypatch.setattr(hopfield.np, "dot", spy)
-        attractors, sweeps, labels = converge_many(states, np.broadcast_to(pattern, (m, n)))
+        attractors, sweeps, labels = converge_many(binary(states), np.broadcast_to(pattern, (m, n)))
         assert seen == {np.dtype(dtype)}
         for k, res in enumerate(expected):
-            assert np.array_equal(attractors[labels[k]], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], binary(res.fixed_point))
             assert sweeps[k] == res.sweeps_used
 
     # 2^N <= max(4R, 2^12) takes the state table: every batch up to 12
@@ -381,12 +387,12 @@ class TestConvergeManyAgainstScalar:
         states = all_states(n)[rng.permutation(2**n)[:count]]
         built, real = [], hopfield._state_table
         monkeypatch.setattr(hopfield, "_state_table", lambda *args: built.append(args) or real(*args))
-        attractors, sweeps, labels = converge_many(states, patterns)
+        attractors, sweeps, labels = converge_many(binary(states), patterns)
         assert bool(built) == table
         w = hebbian_learn(patterns)
         for k, state in enumerate(states):
             res = converge(state, w)
-            assert np.array_equal(attractors[labels[k]], res.fixed_point)
+            assert np.array_equal(attractors[labels[k]], binary(res.fixed_point))
             assert sweeps[k] == res.sweeps_used
 
     def test_rows_of_no_components_settle_in_one_sweep(self):
@@ -397,7 +403,7 @@ class TestConvergeManyAgainstScalar:
         assert labels.tolist() == [0, 0, 0]
 
     def test_rows_that_do_not_group_the_states_are_refused(self):
-        states = all_states(3)
+        states = binary(all_states(3))
         patterns = [[1, 0, 1]]
         first, inverse = hopfield.distinct_rows(states)
         for rows in [(first, inverse[:-1]), (first[::-1], inverse)]:
@@ -411,7 +417,7 @@ class TestConvergeManyAgainstScalar:
         assert (sweeps.shape, sweeps.dtype) == ((0,), np.int64)
         assert (labels.shape, labels.dtype) == ((0,), np.intp)
         for n in (3, 15):  # the state table, and for 100 rows of 15 the column loop
-            attractors, _, _ = converge_many(all_states(n)[:100], [[1, 0, 1] * (n // 3)])
+            attractors, _, _ = converge_many(binary(all_states(n)[:100]), [[1, 0, 1] * (n // 3)])
             assert attractors.dtype == np.int8
             with pytest.raises(ValueError):
                 attractors[0, 0] = 1
@@ -419,11 +425,11 @@ class TestConvergeManyAgainstScalar:
     @pytest.mark.parametrize(
         "states, patterns",
         [
-            (np.array([[1, 0]]), [[1, 0]]),
-            (np.array([1, -1]), [[1, 0]]),  # one state, not a matrix of them
-            (np.array([[1, -1, 1]]), [[1, 0]]),  # states wider than the patterns
-            (np.array([[1, -1]]), [[1, 2]]),  # patterns that are not binary
-            (np.array([[1, -1]]), [1, 0]),  # one pattern, not a matrix of them
+            (np.array([[1, -1]]), [[1, 0]]),  # a -1 entry: states are 0/1 rows
+            (np.array([1, 0]), [[1, 0]]),  # one state, not a matrix of them
+            (np.array([[1, 0, 1]]), [[1, 0]]),  # states wider than the patterns
+            (np.array([[1, 0]]), [[1, 2]]),  # patterns that are not binary
+            (np.array([[1, 0]]), [1, 0]),  # one pattern, not a matrix of them
         ],
     )
     def test_inputs_it_cannot_relax_exactly_are_refused(self, states, patterns):
@@ -432,23 +438,24 @@ class TestConvergeManyAgainstScalar:
 
 
 def sign_key(row):
-    """A +-1 row's sign-bit key, sum_j 2^j [x_j = +1], as a Python int."""
+    """A 0/1 or +-1 row's key, sum_j 2^j [x_j = 1], as a Python int."""
     return sum(1 << j for j, v in enumerate(row.tolist()) if v == 1)
 
 
 def assert_attractor_contract(states, patterns):
-    """Row k settles at ``attractors[labels[k]]``, the scalar ``converge``'s
-    fixed point; the labels use every attractor; the attractors are
-    distinct, in strictly ascending key order, and no sweep changes them."""
-    attractors, _, labels = converge_many(states, patterns)
+    """Row k of the +-1 ``states`` settles at ``attractors[labels[k]]``, the
+    0/1 image of the scalar ``converge``'s fixed point; the labels use every
+    attractor; the attractors are distinct, in strictly ascending key order,
+    and no sweep changes them."""
+    attractors, _, labels = converge_many(binary(states), patterns)
     w = hebbian_learn(patterns)
     for k, state in enumerate(states):
-        assert np.array_equal(attractors[labels[k]], converge(state, w).fixed_point)
+        assert np.array_equal(attractors[labels[k]], binary(converge(state, w).fixed_point))
     assert sorted(set(labels.tolist())) == list(range(len(attractors)))
     keys = [sign_key(a) for a in attractors]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert len({a.tobytes() for a in attractors}) == len(attractors)
-    assert not any(sweep(a, w)[1] for a in attractors)
+    assert not any(sweep(2 * a - 1, w)[1] for a in attractors)
     return attractors, labels
 
 
@@ -469,7 +476,7 @@ class TestAttractorsAndLabels:
 
     # one stored pattern of all ones: each field is the sum of the other
     # components, and every row settles at all +1 or all -1, table indices
-    # 2^n - 1 and 0, so all -1 comes first; the rows run from all +1 down by
+    # 2^n - 1 and 0, so all -1 (all 0) comes first; the rows run from all +1 down by
     # an odd stride, so fewer than 2^n rows still spread over every state.
     # Up to 12 components and from 2^11 rows of 13 they take the state table,
     # and 2^11 - 1 rows of 13 the column loop
@@ -479,13 +486,13 @@ class TestAttractorsAndLabels:
     def test_many_rows_share_an_attractor(self, n, count):
         states = all_states(n)[::-1][np.arange(count) * 5 % (1 << n)]
         attractors, labels = assert_attractor_contract(states, [[1] * n])
-        assert attractors.tolist() == [[-1] * n, [1] * n]
+        assert attractors.tolist() == [[0] * n, [1] * n]
         assert (np.bincount(labels) > count // 3).all()
 
     def test_many_wide_rows_share_an_attractor(self):
         states = np.random.default_rng(70).choice([-1, 1], size=(300, 70))
         attractors, labels = assert_attractor_contract(states, [[1] * 70])
-        assert sorted(attractors.sum(axis=1).tolist()) == [-70, 70]
+        assert sorted(attractors.sum(axis=1).tolist()) == [0, 70]
         assert (np.bincount(labels) > 100).all()
 
 
@@ -559,7 +566,7 @@ class TestSweepBound:
         patterns = rng.integers(0, 2, size=(m, n))
         w = hebbian_learn(patterns)
         assert_within_bound(w)
-        _, sweeps, _ = converge_many(all_states(n), patterns)
+        _, sweeps, _ = converge_many(binary(all_states(n)), patterns)
         assert (sweeps <= sweep_bound(w)).all()
 
     @settings(deadline=None, max_examples=30)
@@ -573,7 +580,7 @@ class TestSweepBound:
         w = np.zeros((1, 1), dtype=int)
         assert sweep_bound(w) == 2
         assert converge(np.array([-1]), w).sweeps_used == 2
-        assert converge_many(np.array([[-1]]), [[1]])[1].tolist() == [2]  # w = [[0]]
+        assert converge_many(np.array([[0]]), [[1]])[1].tolist() == [2]  # w = [[0]]
 
 
 class TestEnergy:
@@ -601,7 +608,7 @@ class TestEnergy:
 class TestEnumerateFixedPoints:
     def test_reference_network_has_exactly_four(self):
         points = enumerate_fixed_points(REF_W)
-        found = {tuple(binary_from_bipolar(p).tolist()) for p in points}
+        found = {tuple(binary(p).tolist()) for p in points}
         assert found == set(REFERENCE_FIXED_POINTS)
 
     def test_zero_matrix(self):
@@ -634,8 +641,8 @@ def basin_map(patterns):
     ``converge_many`` relaxes it to under the patterns' network, as
     bipolar tuples."""
     states = all_states(len(patterns[0]))
-    attractors, _, labels = converge_many(states, patterns)
-    return dict(zip(map(tuple, states.tolist()), map(tuple, attractors[labels].tolist())))
+    attractors, _, labels = converge_many(binary(states), patterns)
+    return dict(zip(map(tuple, states.tolist()), map(tuple, (2 * attractors[labels] - 1).tolist())))
 
 
 class TestBasinMap:
@@ -649,7 +656,7 @@ class TestBasinMap:
         mapping = basin_map(REFERENCE_PATTERNS)
         assert len(mapping) == 1024
         images = set(mapping.values())
-        binary_images = {tuple(binary_from_bipolar(np.array(v)).tolist()) for v in images}
+        binary_images = {tuple(binary(v).tolist()) for v in images}
         assert binary_images == set(REFERENCE_FIXED_POINTS)
 
     def test_matches_brute_force_trajectories(self):

@@ -403,8 +403,9 @@ class TestParse:
         assert spchart.parse_chart(spchart.chart_to_csv(chart)) == chart
 
     def test_parse_memory_is_bounded_by_the_file(self):
-        # a tall drill chart, read on the byte path: its parse peaked at 6.79
-        # times the file's 3,088,937 bytes (Python 3.11, numpy 2.4)
+        # a tall drill chart, read on the byte path: its parse peaked at 6.63
+        # times the file's 3,088,937 bytes (Python 3.11, numpy 2.4); the bound
+        # leaves 18% over that
         drill = generate_chart(GenSpec(ChartType.DRILL, 100_000, 12, seed=1))
         raw = spchart.chart_to_csv(drill).encode()
         tracemalloc.start()
@@ -414,7 +415,7 @@ class TestParse:
         finally:
             tracemalloc.stop()
         assert chart.num_students == 100_000
-        assert peak <= 8 * len(raw)
+        assert peak <= 7.8 * len(raw)
 
 
 class TestRearrange:
