@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spchart import ChartType, SPChart
+from .spchart import ChartType, SPChart, _make_chart
 
 ABILITY_MEAN = {ChartType.TEST: 0.0, ChartType.DRILL: 2.0, ChartType.PRETEST: -2.0}
 ABILITY_SD = 1.0
@@ -42,7 +42,9 @@ class GenSpec:
 
 def generate_chart(spec: GenSpec) -> SPChart:
     """Draw a chart per the spec.  Draw order is fixed (abilities,
-    difficulties, cells, then noise flips) so output is seed-stable."""
+    difficulties, cells, then noise flips) so output is seed-stable.
+    Students and problems are named S1..SL and P1..PN by the rule that
+    ``spchart.parse_chart`` applies to a chart read without labels."""
     rng = np.random.default_rng(spec.seed)
     ability = rng.normal(ABILITY_MEAN[spec.chart_type], ABILITY_SD, spec.students)
     difficulty = rng.normal(0.0, DIFFICULTY_SD, spec.problems)
@@ -52,8 +54,4 @@ def generate_chart(spec: GenSpec) -> SPChart:
     if spec.noise > 0.0:
         flips = rng.random((spec.students, spec.problems)) < spec.noise
         bits = np.where(flips, 1 - bits, bits)
-    return SPChart(
-        bits,
-        tuple(f"S{i + 1}" for i in range(spec.students)),
-        tuple(f"P{j + 1}" for j in range(spec.problems)),
-    )
+    return _make_chart(bits, None, None)

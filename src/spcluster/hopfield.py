@@ -44,7 +44,7 @@ def hebbian_learn(patterns) -> np.ndarray:
     """
     p = np.asarray(patterns)
     if p.ndim != 2 or p.shape[0] < 1:
-        raise NetworkError("patterns must form a non-empty M x N matrix")
+        raise NetworkError("patterns must form an M x N matrix with at least one pattern")
     if not ((p == 0) | (p == 1)).all():
         raise NetworkError("patterns must be binary")
     b = (2 * p.astype(np.int64) - 1)

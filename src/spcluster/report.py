@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from math import isfinite
-from operator import itemgetter
 
 from . import spchart
 from .clustering import TrialReport, TrialSummary
@@ -25,14 +24,14 @@ def _cluster_entry(chart: SPChart, cluster, label: str) -> dict:
     # an exact ratio, correctly rounded: the float mean of the members' bits
     rate = cluster.correct / (cluster.size * chart.num_problems)
     point = cluster.fixed_point
-    ids = itemgetter(*cluster.member_indices)(chart.student_ids)  # one member: a bare id
+    ids = chart.student_ids  # one lookup, not one per member
     return {
         "label": label,
         "size": cluster.size,
         "gamma": cluster.gamma,
         "fixed_point": None if point is None else "".join(map(str, point)),
         "chart_type": spchart.classify_rate(rate).value,
-        "student_ids": list(ids) if cluster.size > 1 else [ids],
+        "student_ids": [ids[i] for i in cluster.member_indices],
     }
 
 

@@ -311,10 +311,11 @@ def parse_chart(data: str | bytes) -> SPChart:
     is treated as labels when it contains at least one non-numeric token,
     so purely numeric labels are not supported: a numeric cell that is
     not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
-    are generated as S1..SL and P1..PN.  Cells may be padded with
-    whitespace; rows of only commas and ``str.isspace()`` whitespace are
-    skipped.  One leading byte order mark (U+FEFF) is ignored.  Lines may
-    end in LF, CRLF or CR.
+    are generated as S1..SL and P1..PN (``_make_chart``), as
+    ``datagen.generate_chart`` names its charts.  Cells may be padded
+    with whitespace; rows of only commas and ``str.isspace()`` whitespace
+    are skipped.  One leading byte order mark (U+FEFF) is ignored.  Lines
+    may end in LF, CRLF or CR.
 
     Two readers give the same chart.  Text without a quote or NUL, whose
     cells are all bare "0"/"1" after one label or none, is read on its
@@ -436,5 +437,5 @@ def caution_from_counts(counts, sizes) -> list[float]:
 
 def average_caution(chart: SPChart) -> float:
     """Mean caution index over all rows, against the chart's own rates."""
-    counts = chart.bits.sum(axis=0, dtype=np.int64)
+    counts = np.einsum("ij->j", chart.bits, dtype=np.int64)
     return caution_from_counts(counts[None, :], [chart.num_students])[0]

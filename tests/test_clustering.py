@@ -401,12 +401,17 @@ class TestTrialScoring:
         chart = datagen.generate_chart(GenSpec(chart_type, students, problems, seed))
         m = min(m, students)
         best, summaries = run_trials(chart, m, 4, master_seed=seed)
+        assert [s.trial_index for s in summaries] == [0, 1, 2, 3]
         for s in summaries:
-            reps = select_representatives(chart, m, s.seed)
+            # seeds and draws from their published definitions, not the code under test
+            assert s.seed == reference_trial_seed(seed, s.trial_index)
+            reps = reference_draw(students, m, s.seed)
             expected = reference_clusters(chart, reps)
             assert (s.f1, s.n_clusters) == (f1([len(e[0]) for e in expected], m), len(expected))
             assert s.f2 == pytest.approx(max(e[2] for e in expected), rel=0, abs=1e-12)
-        expected = reference_clusters(chart, best.clustering.representatives)
+        reps = reference_draw(students, m, best.summary.seed)
+        assert best.clustering.representatives == tuple(reps)
+        expected = reference_clusters(chart, reps)
         clusters = best.clustering.clusters
         assert [c.member_indices for c in clusters] == [e[0] for e in expected]
         assert [c.fixed_point for c in clusters] == [e[1] for e in expected]

@@ -35,6 +35,16 @@ class TestGenerate:
         assert np.isin(chart.bits, (0, 1)).all()
         assert len(set(chart.student_ids)) == 9
 
+    def test_bare_cells_read_back_equal(self):
+        # written without the label column and header, the chart's ids are
+        # regenerated by the reader's own rule, which names generated charts
+        chart = generate_chart(GenSpec(ChartType.TEST, 30, 7, seed=2, noise=0.1))
+        bare = "".join(",".join(map(str, row)) + "\n" for row in chart.bits.tolist())
+        read = spchart.parse_chart(bare)
+        assert read == chart
+        assert read.student_ids == tuple(f"S{i}" for i in range(1, 31))
+        assert read.problem_ids == tuple(f"P{j}" for j in range(1, 8))
+
     def test_noise_changes_cells(self):
         clean = generate_chart(GenSpec(ChartType.TEST, 100, 10, seed=5, noise=0.0))
         noisy = generate_chart(GenSpec(ChartType.TEST, 100, 10, seed=5, noise=0.3))

@@ -151,10 +151,15 @@ class TestHebbianLearn:
             assert ((w[~np.eye(n, dtype=bool)] - m) % 2 == 0).all()
 
     def test_rejects_bad_input(self):
-        with pytest.raises(hopfield.NetworkError):
+        with pytest.raises(hopfield.NetworkError, match="^patterns must be binary$"):
             hebbian_learn([[0, 2]])
-        with pytest.raises(hopfield.NetworkError):
+        # M x 0 patterns are accepted; no pattern, or not a matrix, is not
+        assert hebbian_learn(np.zeros((2, 0), dtype=int)).shape == (0, 0)
+        shape_rule = "^patterns must form an M x N matrix with at least one pattern$"
+        with pytest.raises(hopfield.NetworkError, match=shape_rule):
             hebbian_learn(np.zeros((0, 4), dtype=int))
+        with pytest.raises(hopfield.NetworkError, match=shape_rule):
+            hebbian_learn([0, 1, 1])
 
 
 class TestLocalField:
