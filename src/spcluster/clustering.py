@@ -29,16 +29,6 @@ class ClusteringError(ValueError):
     pass
 
 
-class MTooLarge(ClusteringError):
-    def __init__(self, m: int, limit: int) -> None:
-        super().__init__(f"cannot make {m} clusters from {limit} students")
-
-
-class EmptyClustering(ClusteringError):
-    def __init__(self) -> None:
-        super().__init__("clustering has no clusters")
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One cluster: member row indices, the binary image of the fixed point
@@ -117,7 +107,7 @@ def _check_m(m: int, students: int) -> None:
     if m < 1:
         raise ClusteringError("need at least one cluster")
     if m > students:
-        raise MTooLarge(m, students)
+        raise ClusteringError(f"cannot make {m} clusters from {students} students")
 
 
 def _draw(population: int, m: int, seed: int) -> tuple[int, ...]:
@@ -256,8 +246,6 @@ def f1(sizes, m: int) -> float:
     if m < 1:
         raise ClusteringError("m must be at least 1")
     sizes = sorted(sizes, reverse=True)
-    if not sizes:
-        raise EmptyClustering()
     L = sum(sizes)  # the clusters partition the students
     mth = sizes[m - 1] if len(sizes) >= m else 0
     # (L/m - mth) / (L/m) with one correctly rounded division
@@ -266,8 +254,6 @@ def f1(sizes, m: int) -> float:
 
 def f2(gammas) -> float:
     """Worst (largest) of the per-cluster average caution indices ``gammas``."""
-    if not gammas:
-        raise EmptyClustering()
     return max(gammas)
 
 

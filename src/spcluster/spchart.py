@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -18,50 +19,13 @@ import numpy as np
 
 
 class ChartError(ValueError):
-    """Base class for chart construction and parse failures."""
+    """A chart that cannot be built or parsed.  The message names the row,
+    column, line or value concerned; rows and columns are 1-based positions
+    in the input file, counting any header row and label column."""
 
 
-class EmptyInput(ChartError):
-    def __init__(self) -> None:
-        super().__init__("input contains no data rows")
-
-
-class NonBinaryCell(ChartError):
-    """A data cell was something other than '0' or '1'.
-
-    Coordinates are 1-based positions in the input file, counting any
-    header row and label column.
-    """
-
-    def __init__(self, row: int, col: int, value: str = "") -> None:
-        self.row = row
-        self.col = col
-        self.value = value
-        shown = f" {value!r}" if value else ""
-        super().__init__(f"non-binary cell{shown} at row {row}, column {col}")
-
-
-class RaggedRows(ChartError):
-    def __init__(self, expected: int, found: int, row: int | None = None) -> None:
-        self.expected = expected
-        self.found = found
-        where = f" at row {row}" if row is not None else ""
-        super().__init__(f"ragged rows{where}: expected {expected} cells, found {found}")
-
-
-class UnreadableCsv(ChartError):
-    """``csv.reader`` refused the input, at a 1-based physical line."""
-
-    def __init__(self, line: int, reason: str) -> None:
-        self.line = line
-        super().__init__(f"unreadable CSV at line {line}: {reason}")
-
-
-class LengthMismatch(ChartError):
-    def __init__(self, expected: int, found: int) -> None:
-        self.expected = expected
-        self.found = found
-        super().__init__(f"length mismatch: expected {expected}, found {found}")
+def _ragged(row: int, expected: int, found: int) -> ChartError:
+    return ChartError(f"ragged rows at row {row}: expected {expected} cells, found {found}")
 
 
 class ChartType(Enum):
@@ -92,14 +56,15 @@ class SPChart:
         if not ((raw == 0) | (raw == 1)).all():  # validate before the int8 cast truncates
             raise ChartError("chart entries must all be 0 or 1")
         bits = raw.astype(np.int8)
-        if len(self.student_ids) != bits.shape[0]:
-            raise LengthMismatch(bits.shape[0], len(self.student_ids))
-        if len(self.problem_ids) != bits.shape[1]:
-            raise LengthMismatch(bits.shape[1], len(self.problem_ids))
-        if len(set(self.student_ids)) != len(self.student_ids):
-            raise ChartError("student ids must be unique")
-        if len(set(self.problem_ids)) != len(self.problem_ids):
-            raise ChartError("problem ids must be unique")
+        for kind, ids, count, axis in (
+            ("student", self.student_ids, bits.shape[0], "rows"),
+            ("problem", self.problem_ids, bits.shape[1], "columns"),
+        ):
+            if len(ids) != count:
+                raise ChartError(f"{len(ids)} {kind} ids for {count} {axis}")
+            if len(set(ids)) != len(ids):
+                repeated = next(i for i, n in Counter(ids).items() if n > 1)
+                raise ChartError(f"{kind} id {repeated!r} appears more than once")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "student_ids", tuple(self.student_ids))
@@ -271,22 +236,20 @@ def _parse_lines(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 
 def _parse_records(text: str):
     """(header, bits, student ids) of the records ``csv.reader`` reads from
-    ``text``.  Raises ``UnreadableCsv`` for what the reader refuses, and
-    else for the first ragged row or non-binary cell, in file order."""
+    ``text``.  Raises ``ChartError`` for what the reader refuses, and else
+    for the first ragged row or non-binary cell, in file order."""
     # newline="", as the csv docs advise: records end at LF, CRLF and bare CR
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = [record for record in reader if "".join(record).strip()]
     except csv.Error as exc:  # an over-long field, NUL before Python 3.11
-        raise UnreadableCsv(reader.line_num, str(exc)) from exc
+        raise ChartError(f"unreadable CSV at line {reader.line_num}: {exc}") from exc
     header = _header(rows[0]) if rows else None
     rows = rows[header is not None:]
-    if not rows:
-        raise EmptyInput()
     skip = 1 if any(not _is_numeric(r[0].strip()) for r in rows) else 0
-    width = len(rows[0]) - skip
+    width = len(rows[0]) - skip if rows else 0
     if width < 1:
-        raise EmptyInput()
+        raise ChartError("input contains no data rows")
     # cells are almost always bare digits; strip them when the first record
     # shows they are not, or when the bare attempt fails
     bits = _record_bits(rows, skip, width) if set(rows[0][skip:]) <= {"0", "1"} else None
@@ -296,10 +259,11 @@ def _parse_records(text: str):
     if bits is None:
         for r, record in enumerate(rows, start=2 if header is not None else 1):
             if len(record) != skip + width:
-                raise RaggedRows(width, len(record) - skip, row=r)
+                raise _ragged(r, width, len(record) - skip)
             for c, tok in enumerate(record[skip:], start=skip + 1):
                 if tok not in ("0", "1"):
-                    raise NonBinaryCell(r, c, tok)
+                    shown = f" {tok!r}" if tok else ""
+                    raise ChartError(f"non-binary cell{shown} at row {r}, column {c}")
     return header, bits, [r[0].strip() for r in rows] if skip else None
 
 
@@ -310,7 +274,7 @@ def parse_chart(data: str | bytes) -> SPChart:
     labels; an optional first column of student labels.  A row or column
     is treated as labels when it contains at least one non-numeric token,
     so purely numeric labels are not supported: a numeric cell that is
-    not 0 or 1 is always rejected as ``NonBinaryCell``.  Missing labels
+    not 0 or 1 is always rejected as a non-binary cell.  Missing labels
     are generated as S1..SL and P1..PN (``_make_chart``), as
     ``datagen.generate_chart`` names its charts.  Cells may be padded
     with whitespace; rows of only commas and ``str.isspace()`` whitespace
@@ -323,8 +287,8 @@ def parse_chart(data: str | bytes) -> SPChart:
     find the lines, check the cells and gather the labels.  Everything
     else goes through ``csv.reader`` (``_parse_records``), whose cells are
     checked as strings: quoted text, NUL, lines of more bytes than
-    ``csv.field_size_limit()``, padded or bad cells and ragged rows.  What
-    the reader refuses raises ``UnreadableCsv``.
+    ``csv.field_size_limit()``, padded or bad cells and ragged rows.  Every
+    refusal, including what the reader refuses, raises ``ChartError``.
     """
     if isinstance(data, bytes):
         if not data.isascii():
@@ -344,7 +308,7 @@ def parse_chart(data: str | bytes) -> SPChart:
     if header is not None and student_ids is not None and len(header) == width + 1:
         header = header[1:]  # drop the corner cell above the label column
     if header is not None and len(header) != width:
-        raise RaggedRows(width, len(header), row=1)
+        raise _ragged(1, width, len(header))
     return _make_chart(bits, student_ids, header)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from spcluster import hopfield
 from spcluster.hopfield import NetworkError, check_weights
-from spcluster.spchart import LengthMismatch, SPChart
+from spcluster.spchart import SPChart
 
 REFERENCE_PATTERNS: tuple[tuple[int, ...], ...] = (
     (1, 0, 1, 0, 0, 0, 0, 1, 1, 1),
@@ -171,7 +171,7 @@ def caution_index(row, rates) -> float:
     bits = np.asarray(row, dtype=float)
     mu = np.asarray(rates, dtype=float)
     if bits.shape != mu.shape:
-        raise LengthMismatch(mu.shape[0] if mu.ndim else 0, bits.shape[0] if bits.ndim else 0)
+        raise ValueError(f"{bits.size} cells against {mu.size} rates")
     return float(np.abs(bits - mu).mean())
 
 

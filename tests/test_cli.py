@@ -462,6 +462,46 @@ def test_bad_parameters_print_one_error_line_and_exit_two(argv, generated_chart,
     assert err.count("\n") == 1
 
 
+LONG_LABEL = b"id,P1\n" + b"S" * (csv.field_size_limit() + 1) + b",1\n"
+TWO_STUDENTS = b"id,P1,P2\nS1,1,0\nS2,0,1\n"
+REFUSALS = {
+    "non-binary-cell": (b"id,P1,P2\nS1,1,2\nS2,0,1\n", [], 1,
+                        "--input: non-binary cell '2' at row 2, column 3"),
+    "empty-cell": (b"id,P1,P2\nS1,1,\nS2,0,1\n", [], 1,
+                   "--input: non-binary cell at row 2, column 3"),
+    "ragged-row": (b"id,P1,P2\nS1,1,0\nS2,0,1,1\n", [], 1,
+                   "--input: ragged rows at row 3: expected 2 cells, found 3"),
+    "ragged-header": (b"P1,P2,P3,P4\nS1,1,0\n", [], 1,
+                      "--input: ragged rows at row 1: expected 2 cells, found 4"),
+    "header-only": (b"id,P1,P2\n", [], 1, "--input: input contains no data rows"),
+    "labels-without-cells": (b"S1\nS2\n", [], 1, "--input: input contains no data rows"),
+    "over-long-field": (LONG_LABEL, [], 1, "--input: unreadable CSV at line 2: "
+                        f"field larger than field limit ({csv.field_size_limit()})"),
+    "invalid-utf8": (b"\xff\xfe1,0\n", [], 1, "--input: input is not valid UTF-8: "
+                     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "duplicate-student": (TWO_STUDENTS + b"S1,1,1\n", [], 1,
+                          "--input: student id 'S1' appears more than once"),
+    "duplicate-problem": (b"id,P1,P1\nS1,1,0\nS2,0,1\n", [], 1,
+                          "--input: problem id 'P1' appears more than once"),
+    "too-many-clusters": (TWO_STUDENTS, ["--clusters", "3"], 2,
+                          "cannot make 3 clusters from 2 students"),
+    "negative-seed": (TWO_STUDENTS, ["--seed", "-1"], 2, "master seed must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("content, argv, code, message", REFUSALS.values(), ids=REFUSALS)
+def test_each_refusal_prints_its_exact_line_and_exit_code(
+    content, argv, code, message, tmp_path, capsys
+):
+    path, out = tmp_path / "chart.csv", tmp_path / "r.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert run_cli(["cluster", "--input", str(path), "--clusters", "1", "--trials", "1",
+                    "--seed", "1", *argv, "--output", str(out)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
