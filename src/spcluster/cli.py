@@ -47,10 +47,10 @@ def _emit_cluster_charts(result: clustering.Clustering, out_dir: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for k, cluster in enumerate(result.clusters, start=1):
-        rc = spchart.rearrange(spchart.take_rows(result.chart, cluster.member_indices))
+        sub = spchart.rearrange(spchart.take_rows(result.chart, cluster.member_indices))
         name = f"cluster_{k:02d}"
-        (directory / f"{name}.csv").write_text(spchart.chart_to_csv(rc.chart), encoding="utf-8")
-        (directory / f"{name}.svg").write_text(render.render_svg(rc), encoding="utf-8")
+        (directory / f"{name}.csv").write_text(spchart.chart_to_csv(sub), encoding="utf-8")
+        (directory / f"{name}.svg").write_text(render.render_svg(sub), encoding="utf-8")
 
 
 def _write_report(
@@ -122,14 +122,14 @@ def _print_all(text: str) -> None:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     _, chart = _load_chart(args.input)
-    rc = spchart.rearrange(chart)
-    rendering = render.render_text(rc) if args.format == "txt" else render.render_svg(rc)
+    sp = spchart.rearrange(chart)
+    rendering = render.render_text(sp) if args.format == "txt" else render.render_svg(sp)
     summary = (
         f"students: {chart.num_students}  problems: {chart.num_problems}\n"
         f"chart type: {spchart.classify_type(chart).value}\n"
         f"average caution: {spchart.average_caution(chart):.6f}\n"
-        f"S: {' '.join(str(s) for s in rc.s_totals)}\n"
-        f"P: {' '.join(str(p) for p in rc.p_totals)}\n"
+        f"S: {' '.join(map(str, sp.bits.sum(axis=1).tolist()))}\n"
+        f"P: {' '.join(map(str, sp.bits.sum(axis=0).tolist()))}\n"
     )
     if args.output:  # written first, so that a failed write prints nothing
         try:

@@ -327,16 +327,18 @@ def run_trials(
 
     rows = _prepare(chart)
     run = partial(_run_one_trial, rows, m, master_seed)
-    if workers <= 1 or trials == 1:
+    # never more processes than trials or than the CPUs this process may use,
+    # and never a pool of one: it would only add a fork and a pickle
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    processes = min(workers, trials, cpus)
+    if processes == 1:
         summaries = list(map(run, range(trials)))
     else:
-        # imported here: it pulls in multiprocessing, which one worker never needs
+        # imported here: it pulls in multiprocessing, which one process never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        # never more processes than trials or than the CPUs this process may use
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        chunk = ceil(trials / min(workers, trials, cpus))
+        chunk = ceil(trials / processes)
         with ProcessPoolExecutor(max_workers=ceil(trials / chunk)) as pool:
             summaries = list(pool.map(run, range(trials), chunksize=chunk))
 

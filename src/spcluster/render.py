@@ -1,23 +1,26 @@
-"""Text and SVG renderings of a rearranged chart with its two curves.
+"""Text and SVG renderings of an S-P chart with its S and P curves.
 
-Both renderers are pure string builders with fixed formatting, so output
-is byte-stable for a given chart.
+Each renderer draws the chart it is given, in its own order, with its row
+and column totals as the curves: the S-P chart's curves once
+``spchart.rearrange`` has sorted it.  Both are pure string builders with
+fixed formatting, so output is byte-stable for a given chart.
 """
 
 from __future__ import annotations
 
-from .spchart import RearrangedChart
+from .spchart import SPChart
 
 CELL = 20  # svg cell size in px
 
 
-def render_text(rc: RearrangedChart) -> str:
+def render_text(chart: SPChart) -> str:
     """Grid of 0/1 cells with curve marks.
 
     The score curve is drawn as a '|' after the first S(i) cells of each
     row; the problem curve as '-' runs under column j after row P(j).
     """
-    chart = rc.chart
+    s_curve = chart.bits.sum(axis=1).tolist()
+    p_curve = chart.bits.sum(axis=0).tolist()
     idw = max(len(s) for s in chart.student_ids)
     cw = max(2, max(len(p) for p in chart.problem_ids) + 1)
 
@@ -26,11 +29,11 @@ def render_text(rc: RearrangedChart) -> str:
     lines.append(header.rstrip())
 
     def underline(row_number: int) -> str | None:
-        if row_number not in rc.p_totals:
+        if row_number not in p_curve:
             return None
         cells = "".join(
             ("-" * (cw - 1) if p == row_number else " " * (cw - 1)) + " "
-            for p in rc.p_totals
+            for p in p_curve
         )
         return (" " * (idw + 2) + cells).rstrip()
 
@@ -38,7 +41,7 @@ def render_text(rc: RearrangedChart) -> str:
     if top:
         lines.append(top)
     for i, (sid, bits) in enumerate(zip(chart.student_ids, chart.bits)):
-        s = rc.s_totals[i]
+        s = s_curve[i]
         row = sid.rjust(idw) + " " + ("|" if s == 0 else " ")
         for j, b in enumerate(bits):
             row += str(int(b)) + " " * (cw - 2) + ("|" if s == j + 1 else " ")
@@ -54,8 +57,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(rc: RearrangedChart) -> str:
-    chart = rc.chart
+def render_svg(chart: SPChart) -> str:
+    """Grid of shaded cells, the score curve solid, the problem curve dashed."""
+    s_curve = chart.bits.sum(axis=1).tolist()
+    p_curve = chart.bits.sum(axis=0).tolist()
     L, N = chart.num_students, chart.num_problems
     x0 = 10 + 8 * max(len(s) for s in chart.student_ids)
     y0 = 30
@@ -79,18 +84,18 @@ def render_svg(rc: RearrangedChart) -> str:
                 f'height="{CELL}" fill="{fill}" stroke="#999999"/>'
             )
 
-    s_pts = [(x0 + rc.s_totals[0] * CELL, y0)]
-    for i, s in enumerate(rc.s_totals):
+    s_pts = [(x0 + s_curve[0] * CELL, y0)]
+    for i, s in enumerate(s_curve):
         x = x0 + s * CELL
         s_pts.append((x, y0 + (i + 1) * CELL))
         if i + 1 < L:
-            s_pts.append((x0 + rc.s_totals[i + 1] * CELL, y0 + (i + 1) * CELL))
-    p_pts = [(x0, y0 + rc.p_totals[0] * CELL)]
-    for j, p in enumerate(rc.p_totals):
+            s_pts.append((x0 + s_curve[i + 1] * CELL, y0 + (i + 1) * CELL))
+    p_pts = [(x0, y0 + p_curve[0] * CELL)]
+    for j, p in enumerate(p_curve):
         y = y0 + p * CELL
         p_pts.append((x0 + (j + 1) * CELL, y))
         if j + 1 < N:
-            p_pts.append((x0 + (j + 1) * CELL, y0 + rc.p_totals[j + 1] * CELL))
+            p_pts.append((x0 + (j + 1) * CELL, y0 + p_curve[j + 1] * CELL))
 
     def polyline(points, color: str, dash: str = "") -> str:
         coords = " ".join(f"{x},{y}" for x, y in points)

@@ -88,22 +88,6 @@ class SPChart:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RearrangedChart:
-    """A chart sorted by row and column totals, with the applied permutations.
-
-    ``chart`` row k is original row ``row_perm[k]``; likewise for columns.
-    ``s_totals``/``p_totals`` are the row/column sums of the rearranged
-    chart, both non-increasing.
-    """
-
-    chart: SPChart
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    s_totals: tuple[int, ...]
-    p_totals: tuple[int, ...]
-
-
 def _make_chart(bits: np.ndarray, student_ids, problem_ids) -> SPChart:
     if student_ids is None:
         student_ids = tuple(f"S{i + 1}" for i in range(bits.shape[0]))
@@ -337,28 +321,20 @@ def take_rows(chart: SPChart, indices) -> SPChart:
     )
 
 
-def rearrange(chart: SPChart) -> RearrangedChart:
+def rearrange(chart: SPChart) -> SPChart:
     """Sort rows by descending score and columns by descending correct count.
 
-    Ties keep the original order, so the result is deterministic and
-    re-rearranging an already rearranged chart is the identity.
+    The sorted chart's row and column totals are the S and P curves, both
+    non-increasing.  Ties keep the original order, so the result is
+    deterministic and rearranging it again is the identity.  Its ids map
+    each row and column back to the input, as ``SPChart`` keeps ids unique.
     """
-    s = chart.bits.sum(axis=1)
-    p = chart.bits.sum(axis=0)
-    row_perm = np.argsort(-s, kind="stable")
-    col_perm = np.argsort(-p, kind="stable")
-    bits = chart.bits[row_perm][:, col_perm]
-    out = SPChart(
-        bits,
-        tuple(chart.student_ids[i] for i in row_perm),
-        tuple(chart.problem_ids[j] for j in col_perm),
-    )
-    return RearrangedChart(
-        chart=out,
-        row_perm=tuple(int(i) for i in row_perm),
-        col_perm=tuple(int(j) for j in col_perm),
-        s_totals=tuple(int(v) for v in s[row_perm]),
-        p_totals=tuple(int(v) for v in p[col_perm]),
+    rows = np.argsort(-chart.bits.sum(axis=1), kind="stable")
+    cols = np.argsort(-chart.bits.sum(axis=0), kind="stable")
+    return SPChart(
+        chart.bits[rows][:, cols],
+        tuple(chart.student_ids[i] for i in rows),
+        tuple(chart.problem_ids[j] for j in cols),
     )
 
 

@@ -219,6 +219,16 @@ class TestCluster:
             sub = spchart.parse_chart(path.read_bytes())
             total += sub.num_students
         assert total == 60
+        # each file is the sorted S-P chart of its cluster's students
+        chart = spchart.parse_chart(generated_chart.read_bytes())
+        position = {sid: i for i, sid in enumerate(chart.student_ids)}
+        for k, entry in enumerate(doc["best_trial"]["clusters"], start=1):
+            members = [position[sid] for sid in entry["student_ids"]]
+            expected = spchart.rearrange(spchart.take_rows(chart, members))
+            assert spchart.parse_chart((charts_dir / f"cluster_{k:02d}.csv").read_bytes()) == expected
+            root = ElementTree.parse(charts_dir / f"cluster_{k:02d}.svg").getroot()
+            texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert texts == [*expected.problem_ids, *expected.student_ids]
 
     def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
         path, ids = write_non_ascii_chart(tmp_path)
@@ -432,7 +442,7 @@ class TestInspect:
                         "--output", str(out)]) == 0
         root = ElementTree.parse(out).getroot()
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
-        rearranged = spchart.rearrange(spchart.parse_chart(path.read_text())).chart
+        rearranged = spchart.rearrange(spchart.parse_chart(path.read_text()))
         assert texts == list(rearranged.problem_ids + rearranged.student_ids)
 
 
@@ -597,18 +607,16 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path, students, problems, clu
 class TestRendering:
     def test_text_marks_curves(self):
         chart = spchart.parse_chart("1,1\n1,0")
-        rc = spchart.rearrange(chart)
-        text = render.render_text(rc)
+        text = render.render_text(spchart.rearrange(chart))
         assert "|" in text and "-" in text
 
     def test_text_underlines_an_unsolved_problem_above_the_first_row(self):
-        rc = spchart.rearrange(spchart.parse_chart("1,0,1\n0,0,1\n1,0,0"))
-        lines = render.render_text(rc).splitlines()
+        sp = spchart.rearrange(spchart.parse_chart("1,0,1\n0,0,1\n1,0,0"))
+        lines = render.render_text(sp).splitlines()
         assert lines[0].split() == ["P1", "P3", "P2"]  # P2, solved by nobody, comes last
         assert lines[1] == " " * lines[0].index("P2") + "--"
         assert lines[2].startswith("S1 ")
 
     def test_svg_polyline_counts(self):
-        rc = spchart.rearrange(spchart.parse_chart("1,0\n0,1"))
-        svg = render.render_svg(rc)
+        svg = render.render_svg(spchart.rearrange(spchart.parse_chart("1,0\n0,1")))
         assert svg.count("<polyline") == 2

@@ -542,9 +542,22 @@ class TestRunTrials:
         trials = cpus + 1
         one_best, one_all = run_trials(chart, 3, trials, master_seed=1, workers=1)
         many_best, many_all = run_trials(chart, 3, trials, master_seed=1, workers=10**6)
-        assert len(started) == 1 and 1 <= started[0] <= cpus
+        assert len(started) == (cpus > 1) and all(2 <= n <= cpus for n in started)
         assert many_all == one_all
         assert many_best.summary == one_best.summary
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool of one process was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        chart = random_chart(np.random.default_rng(6), max_students=30)
+        one_best, one_all = run_trials(chart, 3, 20, master_seed=1, workers=1)
+        two_best, two_all = run_trials(chart, 3, 20, master_seed=1, workers=2)
+        assert two_all == one_all
+        assert two_best.summary == one_best.summary
 
     def test_best_minimizes_f2_over_summaries(self):
         rng = np.random.default_rng(10)
