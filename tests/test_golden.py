@@ -33,7 +33,7 @@ SHAPES = {
     "tall": ("drill", 50000, 12, 8, 2),
 }
 SEEDS = (1, 2, 3)
-RENDERED = ("readme-1", "wide-1")  # tall's renderings alone take about 1.4 s
+RENDERED = ("readme-1", "wide-1")  # tall's two renderings take about 1.4 s on a 2-core host
 
 
 def _sha(data: bytes) -> str:
