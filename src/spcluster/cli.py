@@ -33,6 +33,18 @@ class _Failure(Exception):
     """Ends a command: ``main`` prints ``error: <message>`` and returns the code."""
 
 
+def _workers() -> int:
+    """The worker count that SPCLUSTER_WORKERS sets (default 1)."""
+    raw = os.environ.get("SPCLUSTER_WORKERS", "").strip()
+    try:
+        count = int(raw or "1")
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise _Failure(EXIT_PARAMS, f"SPCLUSTER_WORKERS must be a positive integer, got {raw!r}")
+    return count
+
+
 def _load_chart(path: str) -> tuple[bytes, spchart.SPChart]:
     """The raw bytes and parsed chart at ``path``."""
     try:
@@ -63,11 +75,6 @@ def _write_report(
 ) -> int:
     """Write the report (and the per-cluster charts into ``emit_dir``), then
     print the winner's table."""
-    parameters = {
-        **parameters,
-        "drill_threshold": spchart.DRILL_THRESHOLD,
-        "pretest_threshold": spchart.PRETEST_THRESHOLD,
-    }
     doc = report.build_cluster_report(args.command, raw, parameters, best, summaries)
     try:
         Path(args.output).write_text(report.report_json(doc), encoding="utf-8")
@@ -87,7 +94,7 @@ def _write_report(
 def cmd_cluster(args: argparse.Namespace) -> int:
     raw, chart = _load_chart(args.input)
     best, summaries = clustering.run_trials(
-        chart, args.clusters, args.trials, args.seed, workers=clustering.workers_from_env()
+        chart, args.clusters, args.trials, args.seed, workers=_workers()
     )
     parameters = {"clusters": args.clusters, "trials": args.trials, "seed": args.seed}
     return _write_report(args, raw, parameters, best, summaries, args.emit_charts)

@@ -22,9 +22,6 @@ import numpy as np
 from . import hopfield, spchart
 from .spchart import SPChart
 
-WORKERS_ENV_VAR = "SPCLUSTER_WORKERS"
-
-
 class ClusteringError(ValueError):
     pass
 
@@ -207,14 +204,10 @@ def _clusters(members: np.ndarray, sizes, fixed_points, scores) -> tuple[Cluster
     )
 
 
-def _cluster_with_sweeps(rows: _ChartRows, rep_indices) -> tuple[Clustering, np.ndarray]:
-    """The full clustering for ``rep_indices``, with member lists, and the
-    sweeps every student took.  This is the one place that orders clusters."""
+def _cluster_with_sweeps(rows: _ChartRows, reps: tuple[int, ...]) -> tuple[Clustering, np.ndarray]:
+    """The full clustering for the representatives ``reps``, with member lists,
+    and the sweeps every student took.  This is the one place that orders clusters."""
     chart = rows.chart
-    reps = tuple(int(i) for i in rep_indices)
-    for i in reps:
-        if not 0 <= i < chart.num_students:
-            raise ClusteringError(f"representative index {i} out of range")
     labels, points, sizes, scores, sweeps = _trial(rows, reps)
     # labels in their narrowest type: numpy sorts up to 16 bits by a stable radix sort
     members = np.argsort(labels.astype(np.min_scalar_type(len(points) - 1)), kind="stable")
@@ -233,7 +226,11 @@ def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
     and representative indices; the number of clusters never exceeds the
     number of fixed points of the learned network.
     """
-    clustering, _ = _cluster_with_sweeps(_prepare(chart), rep_indices)
+    reps = tuple(int(i) for i in rep_indices)
+    for i in reps:
+        if not 0 <= i < chart.num_students:
+            raise ClusteringError(f"representative index {i} out of range")
+    clustering, _ = _cluster_with_sweeps(_prepare(chart), reps)
     return clustering
 
 
@@ -287,20 +284,6 @@ def _run_one_trial(rows: _ChartRows, m: int, master_seed: int, t: int) -> TrialS
     return _summary(t, seed, m, sizes, gammas)
 
 
-def workers_from_env() -> int:
-    """Worker count from the SPCLUSTER_WORKERS variable (default 1)."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ClusteringError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return count
-
-
 def run_trials(
     chart: SPChart,
     m: int,
@@ -347,6 +330,5 @@ def run_trials(
     # rebuild the winning trial in full: member lists and convergence statistics
     reps = select_representatives(chart, m, best.seed)
     clustering, sweeps = _cluster_with_sweeps(rows, reps)
-    values, counts = np.unique(sweeps, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
+    histogram = {v: c for v, c in enumerate(np.bincount(sweeps).tolist()) if c}
     return TrialReport(best, clustering, histogram), summaries

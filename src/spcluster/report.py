@@ -48,7 +48,11 @@ def build_cluster_report(
         "format_version": FORMAT_VERSION,
         "command": command,
         "input_digest": "sha256:" + hashlib.sha256(raw_input).hexdigest(),
-        "parameters": parameters,
+        "parameters": {
+            **parameters,
+            "drill_threshold": spchart.DRILL_THRESHOLD,
+            "pretest_threshold": spchart.PRETEST_THRESHOLD,
+        },
         "chart": {
             "students": chart.num_students,
             "problems": chart.num_problems,

@@ -280,12 +280,13 @@ class TestCluster:
         assert err.startswith("error: --input: unreadable CSV at line 2: ")
         assert err.count("\n") == 1
 
-    def test_bad_workers_variable_exits_two(self, generated_chart, tmp_path, monkeypatch):
+    def test_bad_workers_variable_exits_two(self, generated_chart, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPCLUSTER_WORKERS", "lots")
         assert run_cli(
             ["cluster", "--input", str(generated_chart), "--clusters", "2",
              "--trials", "2", "--seed", "0", "--output", str(tmp_path / "r.json")]
         ) == 2
+        assert capsys.readouterr().err == "error: SPCLUSTER_WORKERS must be a positive integer, got 'lots'\n"
 
     def test_unwritable_output_exits_two(self, generated_chart, tmp_path):
         assert run_cli(

@@ -287,8 +287,9 @@ class TestRnnCluster:
 
     def test_rejects_out_of_range_representative(self):
         chart = chart_of([[1, 0], [0, 1]])
-        with pytest.raises(clustering.ClusteringError):
-            rnn_cluster(chart, [5])
+        for index in (5, -1, 2):  # unchecked, -1 would pick the last student
+            with pytest.raises(clustering.ClusteringError, match=f"^representative index {index} out of range$"):
+                rnn_cluster(chart, [index])
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(list(spchart.ChartType)), st.integers(1, 60), st.integers(1, 12),
