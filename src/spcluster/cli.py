@@ -3,7 +3,8 @@
 Subcommands: ``cluster`` (random-restart attractor clustering),
 ``baseline`` (score-quantile split), ``inspect`` (rearranged chart with
 curves) and ``generate`` (synthetic charts).  Exit codes: 0 ok, 1
-input/parse error, 2 invalid parameters, 141 stdout closed by its reader.
+input/parse error, 2 invalid parameters or an output, stdout included,
+that cannot be written, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -55,14 +56,54 @@ def _load_chart(path: str) -> tuple[bytes, spchart.SPChart]:
     return raw, chart
 
 
+def _write_file(flag: str, path: str | Path, text: str, *, mkdir: bool = False) -> None:
+    """Write ``text`` to ``path`` as UTF-8, first making its directory if
+    ``mkdir``; a failure ends the command with a message naming ``flag``."""
+    try:
+        if mkdir:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Failure(EXIT_PARAMS, f"{flag}: {exc}") from exc
+
+
+def _print_all(text: str) -> None:
+    """Write ``text`` to stdout in full, each "\n" as ``os.linesep`` as
+    ``print`` writes it, or raise BrokenPipeError when the reader has left.
+    The bytes go to the raw file below stdout's buffer, a write at a time,
+    as unbuffered stdout (``python -u``) does: the loop writes again what
+    the file did not take, and no byte stays buffered for Python's flush
+    at exit to retry after a failed write."""
+    if sys.stdout is None:  # file descriptor 1 was closed when Python started
+        raise _Failure(EXIT_PARAMS, "stdout is closed")
+    if not hasattr(sys.stdout, "buffer"):  # a text stream, as redirect_stdout sets
+        sys.stdout.write(text)
+        return
+    text = text.replace("\n", os.linesep)
+    try:
+        view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    except UnicodeEncodeError as exc:
+        message = f"stdout ({sys.stdout.encoding}) cannot encode the output; use --output"
+        raise _Failure(EXIT_PARAMS, message) from exc
+    raw = getattr(sys.stdout.buffer, "raw", sys.stdout.buffer)
+    try:
+        sys.stdout.flush()
+        while view:  # the rest is written again
+            written = raw.write(view)
+            if written is not None:  # None: a non-blocking file would block
+                view = view[written:]
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _Failure(EXIT_PARAMS, f"stdout: {exc}") from exc
+
+
 def _emit_cluster_charts(result: clustering.Clustering, out_dir: str) -> None:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     for k, cluster in enumerate(result.clusters, start=1):
         sub = spchart.rearrange(spchart.take_rows(result.chart, cluster.member_indices))
-        name = f"cluster_{k:02d}"
-        (directory / f"{name}.csv").write_text(spchart.chart_to_csv(sub), encoding="utf-8")
-        (directory / f"{name}.svg").write_text(render.render_svg(sub), encoding="utf-8")
+        name = Path(out_dir) / f"cluster_{k:02d}"
+        _write_file("--emit-charts", name.with_suffix(".csv"), spchart.chart_to_csv(sub), mkdir=True)
+        _write_file("--emit-charts", name.with_suffix(".svg"), render.render_svg(sub), mkdir=True)
 
 
 def _write_report(
@@ -76,18 +117,17 @@ def _write_report(
     """Write the report (and the per-cluster charts into ``emit_dir``), then
     print the winner's table."""
     doc = report.build_cluster_report(args.command, raw, parameters, best, summaries)
-    try:
-        Path(args.output).write_text(report.report_json(doc), encoding="utf-8")
-        if emit_dir:
-            _emit_cluster_charts(best.clustering, emit_dir)
-    except OSError as exc:
-        flags = "--output/--emit-charts" if emit_dir else "--output"
-        raise _Failure(EXIT_PARAMS, f"{flags}: {exc}") from exc
+    _write_file("--output", args.output, report.report_json(doc))
+    if emit_dir:
+        _emit_cluster_charts(best.clustering, emit_dir)
     clusters = doc["best_trial"]["clusters"]
-    print("Cluster " + "".join(f"{c['label']:>8}" for c in clusters))
-    print("Students" + "".join(f"{c['size']:>8}" for c in clusters))
-    print("Caution " + "".join(f"{c['gamma']:>8.3f}" for c in clusters))
-    print(f"f1 = {best.summary.f1:.3f}  f2 = {best.summary.f2:.3f}")
+    table = (
+        "Cluster " + "".join(f"{c['label']:>8}" for c in clusters),
+        "Students" + "".join(f"{c['size']:>8}" for c in clusters),
+        "Caution " + "".join(f"{c['gamma']:>8.3f}" for c in clusters),
+        f"f1 = {best.summary.f1:.3f}  f2 = {best.summary.f2:.3f}",
+    )
+    _print_all("\n".join(table) + "\n")
     return EXIT_OK
 
 
@@ -107,26 +147,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return _write_report(args, raw, parameters, best, [best.summary])
 
 
-def _print_all(text: str) -> None:
-    """Write ``text`` to stdout in full, each "\n" as ``os.linesep`` as
-    ``print`` writes it: unbuffered stdout (``python -u``) drops what the
-    file does not take of a write, as when a pipe's reader leaves."""
-    if not hasattr(sys.stdout, "buffer"):  # a text stream, as redirect_stdout sets
-        sys.stdout.write(text)
-        return
-    sys.stdout.flush()
-    text = text.replace("\n", os.linesep)
-    try:
-        view = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    except UnicodeEncodeError as exc:
-        message = f"stdout ({sys.stdout.encoding}) cannot encode the output; use --output"
-        raise _Failure(EXIT_PARAMS, message) from exc
-    while view:  # the rest is written again, or raises BrokenPipeError
-        written = sys.stdout.buffer.write(view)
-        if written is not None:  # None: a non-blocking file would block
-            view = view[written:]
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     _, chart = _load_chart(args.input)
     sp = spchart.rearrange(chart)
@@ -139,10 +159,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"P: {' '.join(map(str, sp.bits.sum(axis=0).tolist()))}\n"
     )
     if args.output:  # written first, so that a failed write prints nothing
-        try:
-            Path(args.output).write_text(rendering, encoding="utf-8")
-        except OSError as exc:
-            raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
+        _write_file("--output", args.output, rendering)
     _print_all(summary if args.output else summary + rendering)
     return EXIT_OK
 
@@ -159,10 +176,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _Failure(EXIT_PARAMS, str(exc)) from exc
     chart = datagen.generate_chart(spec)
-    try:
-        Path(args.output).write_text(spchart.chart_to_csv(chart), encoding="utf-8")
-    except OSError as exc:
-        raise _Failure(EXIT_PARAMS, f"--output: {exc}") from exc
+    _write_file("--output", args.output, spchart.chart_to_csv(chart))
     return EXIT_OK
 
 
@@ -208,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        return args.func(args)
     except _Failure as exc:
         code, message = exc.args
         print(f"error: {message}", file=sys.stderr)
@@ -217,12 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     except clustering.ClusteringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except BrokenPipeError:
-        # the reader closed stdout early; send what is still buffered to
-        # devnull so that flushing it at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early
         return EXIT_BROKEN_PIPE
-    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ order and worker count.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -90,6 +91,7 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     significant first; a seed below 2^64 is one limb) and then t, a trial
     index below 2^64, is folded in as h = mix((h xor word) + gamma).
     """
+    master_seed, trial_index = operator.index(master_seed), operator.index(trial_index)
     if master_seed < 0:  # -1 would fold like 2^64 - 1
         raise ClusteringError("master seed must be non-negative")
     if not 0 <= trial_index <= _MASK:  # 2^64 would fold like 0
@@ -136,6 +138,7 @@ def _draw(population: int, m: int, seed: int) -> tuple[int, ...]:
 def select_representatives(chart: SPChart, m: int, seed: int) -> tuple[int, ...]:
     """Draw m distinct student indices uniformly without replacement,
     from the 64-bit ``seed`` (``_draw``)."""
+    m, seed = operator.index(m), operator.index(seed)
     if not 0 <= seed <= _MASK:  # -1 would draw as 2^64 - 1 does
         raise ClusteringError(f"seed must be in [0, 2^64), got {seed}")
     _check_m(m, chart.num_students)
@@ -226,7 +229,7 @@ def rnn_cluster(chart: SPChart, rep_indices) -> Clustering:
     and representative indices; the number of clusters never exceeds the
     number of fixed points of the learned network.
     """
-    reps = tuple(int(i) for i in rep_indices)
+    reps = tuple(map(operator.index, rep_indices))
     for i in reps:
         if not 0 <= i < chart.num_students:
             raise ClusteringError(f"representative index {i} out of range")
@@ -240,6 +243,7 @@ def f1(sizes, m: int) -> float:
     0 when the m-th largest cluster hits the uniform size exactly, 1 when
     fewer than m clusters exist.  Always in [0, 1].
     """
+    m = operator.index(m)
     if m < 1:
         raise ClusteringError("m must be at least 1")
     sizes = sorted(sizes, reverse=True)
@@ -267,7 +271,7 @@ def score_baseline(chart: SPChart, m: int) -> TrialReport:
     carry no fixed point.  The split is scored as trial 0, with no seed
     and no sweeps histogram.
     """
-    L = chart.num_students
+    L, m = chart.num_students, operator.index(m)
     _check_m(m, L)
     order = np.argsort(-chart.bits.sum(axis=1), kind="stable")
     base, extra = divmod(L, m)
@@ -300,6 +304,7 @@ def run_trials(
     a clustering: relaxation provably settles (``hopfield.sweep_bound``),
     so no trial can fail.
     """
+    m, trials, master_seed, workers = map(operator.index, (m, trials, master_seed, workers))
     if trials < 1:
         raise ClusteringError("need at least one trial")
     if master_seed < 0:

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import errno
 import io
 import json
 import os
@@ -41,6 +42,61 @@ class ShortWrites(io.RawIOBase):
         part = bytes(data[: self.k])
         self.taken += part
         return len(part)
+
+
+class FailingWrites(io.RawIOBase):
+    """A raw stream whose every write raises ``error``, as a full disk or a
+    pipe whose reader has left does."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise self.error
+
+
+# the commands that print, with {chart} and {tmp} to fill in
+PRINTING = {
+    "cluster": ["cluster", "--input", "{chart}", "--clusters", "3", "--trials", "5", "--seed", "1",
+                "--output", "{tmp}/r.json"],
+    "baseline": ["baseline", "--input", "{chart}", "--clusters", "3", "--output", "{tmp}/b.json"],
+    "inspect": ["inspect", "--input", "{chart}"],
+}
+
+
+def printing_argv(command, chart, tmp_path):
+    return [a.format(chart=chart, tmp=tmp_path) for a in PRINTING[command]]
+
+
+def module_env():
+    """The environment of a child that runs ``python -m spcluster.cli`` from this checkout."""
+    src = str(Path(spcluster.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def assert_stdout_arrives_whole(argv, capsys, monkeypatch):
+    """``argv``'s stdout arrives in full through short and refused writes,
+    with "\r\n" line ends, and through a text stream."""
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out
+    for k in (1, 7, 100):
+        raw = ShortWrites(k)
+        # the text layer of unbuffered stdout writes straight to the raw file
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+        assert run_cli(argv) == 0
+        assert raw.taken == expected.encode()
+    # line ends are written as print writes them where they are not "\n"
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    raw = ShortWrites(100)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+    assert run_cli(argv) == 0
+    assert raw.taken == expected.replace("\n", "\r\n").encode()
+    monkeypatch.setattr(sys, "stdout", io.StringIO())  # as contextlib.redirect_stdout sets it
+    assert run_cli(argv) == 0
+    assert sys.stdout.getvalue() == expected
 
 
 def write_chart(tmp_path, rows, name="chart.csv"):
@@ -230,6 +286,18 @@ class TestCluster:
             texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
             assert texts == [*expected.problem_ids, *expected.student_ids]
 
+    def test_unwritable_emit_charts_names_its_flag(self, generated_chart, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file where the directory would go")
+        assert run_cli(
+            ["cluster", "--input", str(generated_chart), "--clusters", "2", "--trials", "2",
+             "--seed", "0", "--output", str(tmp_path / "r.json"), "--emit-charts", str(taken)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --emit-charts: ")
+        assert captured.err.count("\n") == 1
+
     def test_files_are_utf8_in_an_ascii_locale(self, tmp_path):
         path, ids = write_non_ascii_chart(tmp_path)
         run = ascii_locale_python()
@@ -369,8 +437,7 @@ class TestInspect:
         chart = datagen.generate_chart(datagen.GenSpec(spchart.ChartType.TEST, 20000, 6, seed=1))
         path = tmp_path / "big.csv"
         path.write_text(spchart.chart_to_csv(chart))
-        src = str(Path(spcluster.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = module_env()
         # buffered stdout, and unbuffered, whose writes a leaving reader can cut short
         for unbuffered in ("", "1"):
             env["PYTHONUNBUFFERED"] = unbuffered
@@ -385,24 +452,7 @@ class TestInspect:
 
     def test_short_writes_lose_nothing(self, tmp_path, capsys, monkeypatch):
         path = write_chart(tmp_path, np.random.default_rng(3).integers(0, 2, size=(40, 5)))
-        argv = ["inspect", "--input", str(path)]
-        assert run_cli(argv) == 0
-        expected = capsys.readouterr().out
-        for k in (1, 7, 100):
-            raw = ShortWrites(k)
-            # the text layer of unbuffered stdout writes straight to the raw file
-            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
-            assert run_cli(argv) == 0
-            assert raw.taken == expected.encode()
-        # line ends are written as print writes them where they are not "\n"
-        monkeypatch.setattr(os, "linesep", "\r\n")
-        raw = ShortWrites(100)
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
-        assert run_cli(argv) == 0
-        assert raw.taken == expected.replace("\n", "\r\n").encode()
-        monkeypatch.setattr(sys, "stdout", io.StringIO())  # as contextlib.redirect_stdout sets it
-        assert run_cli(argv) == 0
-        assert sys.stdout.getvalue() == expected
+        assert_stdout_arrives_whole(["inspect", "--input", str(path)], capsys, monkeypatch)
 
     def test_stdout_that_cannot_encode_an_id_exits_two(self, tmp_path):
         path, _ = write_non_ascii_chart(tmp_path)
@@ -445,6 +495,71 @@ class TestInspect:
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         rearranged = spchart.rearrange(spchart.parse_chart(path.read_text()))
         assert texts == list(rearranged.problem_ids + rearranged.student_ids)
+
+
+class TestStdout:
+    """Every command writes its stdout in full or fails loudly: exit 141 when
+    the reader leaves, exit 2 and one error line when stdout is closed or
+    cannot be written."""
+
+    @pytest.fixture()
+    def chart(self, tmp_path):
+        return write_chart(tmp_path, np.random.default_rng(3).integers(0, 2, size=(40, 5)))
+
+    @pytest.mark.parametrize("command", ["cluster", "baseline"])
+    def test_tables_arrive_whole(self, command, chart, tmp_path, capsys, monkeypatch):
+        assert_stdout_arrives_whole(printing_argv(command, chart, tmp_path), capsys, monkeypatch)
+
+    @pytest.mark.parametrize("command", sorted(PRINTING))
+    def test_closed_stdout_exits_two(self, command, chart, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when file descriptor 1 is closed
+        assert run_cli(printing_argv(command, chart, tmp_path)) == cli.EXIT_PARAMS
+        assert capsys.readouterr().err == "error: stdout is closed\n"
+
+    def test_generate_needs_no_stdout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        out = tmp_path / "g.csv"
+        assert run_cli(["generate", "--type", "test", "--students", "5", "--problems", "3",
+                        "--output", str(out)]) == 0
+        assert spchart.parse_chart(out.read_bytes()).num_students == 5
+
+    @pytest.mark.parametrize("command", sorted(PRINTING))
+    def test_write_errors_exit_two(self, command, chart, tmp_path, capsys, monkeypatch):
+        full = FailingWrites(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(full, "utf-8", write_through=True))
+        assert run_cli(printing_argv(command, chart, tmp_path)) == cli.EXIT_PARAMS
+        assert capsys.readouterr().err == f"error: stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("command", sorted(PRINTING))
+    def test_a_leaving_reader_exits_quietly(self, command, chart, tmp_path, capsys, monkeypatch):
+        gone = FailingWrites(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(gone, "utf-8", write_through=True))
+        assert run_cli(printing_argv(command, chart, tmp_path)) == cli.EXIT_BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def run_redirected(self, redirect, argv):
+        """``python -m spcluster.cli argv`` with its stdout redirected by the shell."""
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "spcluster.cli", *argv],
+            env=module_env(), stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+
+    def test_closed_file_descriptor(self, chart, tmp_path):
+        out = tmp_path / "g.csv"
+        generate = self.run_redirected(">&-", ["generate", "--type", "test", "--students", "5",
+                                               "--problems", "3", "--output", str(out)])
+        assert (generate.returncode, generate.stderr) == (0, "")
+        assert out.exists()
+        cluster = self.run_redirected(">&-", printing_argv("cluster", chart, tmp_path))
+        assert (cluster.returncode, cluster.stderr) == (2, "error: stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["cluster", "inspect"])
+    def test_full_device(self, command, chart, tmp_path):
+        done = self.run_redirected("> /dev/full", printing_argv(command, chart, tmp_path))
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: stdout: [Errno {errno.ENOSPC}] ")
+        assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

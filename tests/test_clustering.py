@@ -1,13 +1,14 @@
 import concurrent.futures
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spcluster import clustering, datagen, hopfield, spchart
+from spcluster import clustering, datagen, hopfield, report, spchart
 from spcluster.clustering import (
     ClusteringError,
     f1,
@@ -599,3 +600,72 @@ class TestRunTrials:
         assert trial_seed(42, 0) == trial_seed(42, 0)
         assert trial_seed(42, 0) != trial_seed(42, 1)
         assert trial_seed(42, 1) != trial_seed(43, 1)
+
+
+class TestIntegerArguments:
+    """Seeds, counts and indices may be any integer type; a numpy integer
+    gives what the equal Python int gives, and a float is refused."""
+
+    CHART = chart_of(np.random.default_rng(8).integers(0, 2, size=(12, 6)))
+
+    def test_run_trials_takes_a_numpy_seed(self):
+        best, summaries = run_trials(self.CHART, np.int64(3), np.int64(4), np.int64(7))
+        expected_best, expected = run_trials(self.CHART, 3, 4, 7)
+        assert summaries == expected
+        assert all(type(s.seed) is int for s in summaries)
+        docs = [
+            report.report_json(report.build_cluster_report("cluster", b"", {}, b, s))
+            for b, s in ((best, summaries), (expected_best, expected))
+        ]
+        assert docs[0] == docs[1]
+
+    def test_select_representatives_takes_a_numpy_seed(self):
+        reps = select_representatives(self.CHART, np.int64(3), np.int64(7))
+        assert reps == select_representatives(self.CHART, 3, 7)
+
+    def test_uint64_seed_gives_python_ints_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reps = select_representatives(self.CHART, 3, np.uint64(2**64 - 1))
+            seed = trial_seed(np.uint64(2**64 - 1), np.uint64(9))
+            _, summaries = run_trials(self.CHART, 3, 2, np.uint64(2**63))
+        assert reps == select_representatives(self.CHART, 3, 2**64 - 1)
+        assert all(type(i) is int for i in reps)
+        assert seed == trial_seed(2**64 - 1, 9) and type(seed) is int
+        assert summaries == run_trials(self.CHART, 3, 2, 2**63)[1]
+
+    def test_rnn_cluster_takes_numpy_indices_and_refuses_floats(self):
+        result = rnn_cluster(self.CHART, np.array([1, 2]))
+        assert result.representatives == (1, 2)
+        assert all(type(i) is int for i in result.representatives)
+        with pytest.raises(TypeError):
+            rnn_cluster(self.CHART, [1.5, 2.9])
+
+    def test_score_baseline_and_f1_take_a_numpy_m(self):
+        best = score_baseline(self.CHART, np.int64(3))
+        assert best.summary == score_baseline(self.CHART, 3).summary
+        assert type(best.summary.f1) is float
+        assert type(f1([5, 3, 2], np.int64(2))) is float
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: trial_seed(7.0, 0),
+            lambda c: trial_seed(7, 0.0),
+            lambda c: select_representatives(c, 3, 7.0),
+            lambda c: select_representatives(c, 3.0, 7),
+            lambda c: run_trials(c, 3, 4, 7.0),
+            lambda c: run_trials(c, 3, 4.0, 7),
+            lambda c: run_trials(c, 3.0, 4, 7),
+            lambda c: run_trials(c, 3, 4, 7, workers=1.0),
+            lambda c: score_baseline(c, 3.0),
+            lambda c: f1([5, 3, 2], 2.0),
+        ],
+        ids=[
+            "trial_seed-master", "trial_seed-index", "select-seed", "select-m",
+            "run-seed", "run-trials", "run-m", "run-workers", "baseline-m", "f1-m",
+        ],
+    )
+    def test_float_arguments_are_refused(self, call):
+        with pytest.raises(TypeError):
+            call(self.CHART)
